@@ -117,25 +117,28 @@ def _parse_json(text: str) -> GraphDocument:
         raise InputError(f"unsupported format tag {fmt!r}")
     if "n" not in data or "edges" not in data:
         raise InputError("JSON graph document needs `n` and `edges`")
-    n = data["n"]
-    if not isinstance(n, int) or n < 0:
-        raise InputError(f"bad vertex count {n!r}")
+    n = _json_int(data["n"], "n")
+    if n < 0:
+        raise InputError(f"`n` must be non-negative, got {n}")
     edges = []
-    for e in data["edges"]:
-        if not (isinstance(e, (list, tuple)) and len(e) == 2):
-            raise InputError(f"bad edge entry {e!r}")
-        u, v = int(e[0]), int(e[1])
+    for i, e in enumerate(_json_list(data["edges"], "edges")):
+        u, v = _json_list(e, f"edges[{i}]", length=2)
+        u, v = _json_int(u, f"edges[{i}][0]"), _json_int(v, f"edges[{i}][1]")
         if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise InputError(f"bad edge ({u}, {v}) for n={n}")
+            raise InputError(f"`edges[{i}]`: bad edge ({u}, {v}) for n={n}")
         edges.append((u, v) if u < v else (v, u))
     names = None
     if data.get("names") is not None:
-        names = tuple(str(x) for x in data["names"])
+        names = tuple(_json_list(data["names"], "names"))
+        for i, name in enumerate(names):
+            if type(name) is not str:
+                raise InputError(f"`names[{i}]` must be a string, got {_excerpt(name)}")
         if len(names) != n or len(set(names)) != n:
             raise InputError("names must biject with vertices")
     parts = None
     if data.get("parts") is not None:
-        parts = tuple(int(x) for x in data["parts"])
+        raw = _json_list(data["parts"], "parts")
+        parts = tuple(_json_int(x, f"parts[{i}]") for i, x in enumerate(raw))
         if any(p < 1 for p in parts) or sum(parts) != n:
             raise InputError("parts must be positive and sum to n")
     return GraphDocument(
@@ -145,6 +148,25 @@ def _parse_json(text: str) -> GraphDocument:
         names=names,
         parts=parts,
     )
+
+
+def _json_int(value: object, field: str) -> int:
+    """A JSON integer; bools, floats and strings are refused."""
+    if type(value) is not int:
+        raise InputError(f"`{field}` must be an integer, got {_excerpt(value)}")
+    return value
+
+
+def _json_list(value: object, field: str, length: int | None = None) -> list:
+    if type(value) is not list or (length is not None and len(value) != length):
+        shape = "a list" if length is None else f"a list of {length}"
+        raise InputError(f"`{field}` must be {shape}, got {_excerpt(value)}")
+    return value
+
+
+def _excerpt(value: object) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 def serialize_graph_document(doc: GraphDocument) -> str:
@@ -200,11 +222,24 @@ def format_partition_text(p: Partition) -> str:
 
 
 def format_tree(node: MDNode) -> str:
-    """Nested-list text form, e.g. `join(union(leaf 0,leaf 1),leaf 2)`."""
-    if node.kind == LEAF:
-        return f"leaf {node.vertex}"
-    inner = ",".join(format_tree(c) for c in node.children)
-    return f"{node.kind}({inner})"
+    """Nested-list text form, e.g. `join(union(leaf 0,leaf 1),leaf 2)`.
+    Walks an explicit stack, so tree depth is not bounded by recursion."""
+    out: list[str] = []
+    stack: list[MDNode | str] = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item.kind == LEAF:
+            out.append(f"leaf {item.vertex}")
+        else:
+            out.append(f"{item.kind}(")
+            stack.append(")")
+            for i, child in enumerate(reversed(item.children)):
+                if i:
+                    stack.append(",")
+                stack.append(child)
+    return "".join(out)
 
 
 _DOT_PALETTE = (

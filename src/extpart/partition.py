@@ -12,6 +12,17 @@ those whose per-color weighted representative graphs are 1-extendable.
 The minimum k with a non-empty root set is the number of channels needed
 so that no vertex starves, and witnesses rebuild a concrete partition.
 
+The two fold kernels pack every k-tuple into one int of k fixed-width
+fields, coordinate 0 most significant, so packed ints sort like their
+tuples. A field is wide enough for the sum of two coordinates, so a sum
+is one integer addition. The join groups each operand by its zero
+pattern and, per pair of patterns, hashes one side on its projection
+onto the common support, so only compatible pairs are ever touched.
+Sum and join results store no witnesses: rebuilding a partition
+expands one tuple per node and recovers, for that tuple only, the first
+pair in sorted order that combines to it. Leaf and prime sets keep their
+witnesses.
+
 Alongside the exact search, three constructive procedures realize the
 general upper bounds: stratified peeling (at most alpha classes), greedy
 MIS stripping (at most 2*sqrt(n) classes), and the halving recursion on
@@ -20,8 +31,11 @@ cographs (at most log2(alpha) + 1 classes).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
+import struct
 from dataclasses import dataclass
 
 from .errors import InputError, ResourceLimitError
@@ -74,14 +88,41 @@ class Partition:
 
 
 class FeasibleTupleSet:
-    """Deduplicated set of feasible k-tuples with one witness per tuple."""
+    """Deduplicated, sorted set of feasible k-tuples. `witness` maps each
+    tuple, in sorted order, to how it arose; sum and join results map
+    every tuple to None, because rebuilding recovers their witnesses on
+    demand. `top` bounds every coordinate from above."""
 
     def __init__(self, k: int, witness: dict[Tuple, object]):
-        if k < 1:
-            raise InputError(f"class count k must be at least 1, got {k}")
+        if type(k) is not int or k < 1:
+            raise InputError(f"class count k must be an int of at least 1, got {k!r}")
+        for tup in witness:
+            if not (
+                isinstance(tup, tuple)
+                and len(tup) == k
+                and all(type(a) is int and a >= 0 for a in tup)
+            ):
+                raise InputError(
+                    f"feasible {k}-tuple must hold {k} non-negative ints, got {tup!r}"
+                )
+        top = max(map(max, witness), default=0)
+        self._fill(k, dict(sorted(witness.items())), top)
+
+    @classmethod
+    def _result(
+        cls, k: int, witness: dict[Tuple, object], top: int
+    ) -> "FeasibleTupleSet":
+        """A set the DP computed from checked operands, skipping the check;
+        `witness` must list its tuples in sorted order."""
+        fts = cls.__new__(cls)
+        fts._fill(k, witness, top)
+        return fts
+
+    def _fill(self, k: int, witness: dict[Tuple, object], top: int) -> None:
         self.k = k
         self.witness = witness
-        self.tuples: tuple[Tuple, ...] = tuple(sorted(witness))
+        self.tuples: tuple[Tuple, ...] = tuple(witness)
+        self.top = top
         self._dp: "_TupleDP | None" = None
 
     def __len__(self) -> int:
@@ -100,42 +141,131 @@ class FeasibleTupleSet:
         return f"FeasibleTupleSet(k={self.k}, size={len(self.tuples)})"
 
 
-def tuple_sum(s1: FeasibleTupleSet, s2: FeasibleTupleSet) -> FeasibleTupleSet:
-    """Pairwise componentwise sums (the disjoint-union combination)."""
+_FIELD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+class _Packing:
+    """Packs k-tuples into ints of k fields of `nbytes` bytes, coordinate 0
+    most significant, so packed ints sort like their tuples. Callers pick
+    fields that hold twice the largest coordinate, so adding two packed
+    tuples never carries into the next field, and a coordinate leaves
+    its field's top bit clear."""
+
+    def __init__(self, k: int, nbytes: int):
+        self.k = k
+        self.shift = 8 * nbytes - 1
+        self.field = (1 << 8 * nbytes) - 1
+        self.struct = struct.Struct(f">{k}{_FIELD_CODES[nbytes]}")
+        low = int.from_bytes((bytes(nbytes - 1) + b"\1") * k, "big")
+        self.high = low << self.shift
+        # adding 2**shift - 1 sets a field's top bit iff the field is non-zero
+        self.nonzero_carry = low * ((1 << self.shift) - 1)
+
+    def pack(self, tuples) -> list[int]:
+        pack = self.struct.pack
+        return [int.from_bytes(pack(*t), "big") for t in tuples]
+
+    def by_pattern(self, tuples) -> dict[int, list[int]]:
+        """Packed tuples grouped by their top-bit pattern of non-zero fields."""
+        groups: dict[int, list[int]] = {}
+        pack, carry, high = self.struct.pack, self.nonzero_carry, self.high
+        for t in tuples:
+            a = int.from_bytes(pack(*t), "big")
+            groups.setdefault((a + carry) & high, []).append(a)
+        return groups
+
+    def result(self, packed: set[int], top: int) -> FeasibleTupleSet:
+        unpack, size = self.struct.unpack, self.struct.size
+        tuples = [unpack(a.to_bytes(size, "big")) for a in sorted(packed)]
+        return FeasibleTupleSet._result(self.k, dict.fromkeys(tuples), top)
+
+
+@functools.cache
+def _packing(k: int, nbytes: int) -> _Packing:
+    return _Packing(k, nbytes)
+
+
+def _fold_packing(s1: FeasibleTupleSet, s2: FeasibleTupleSet) -> _Packing:
     if s1.k != s2.k:
         raise InputError(f"tuple arity mismatch: {s1.k} vs {s2.k}")
-    out: dict[Tuple, object] = {}
-    for t1 in s1.tuples:
-        for t2 in s2.tuples:
-            t = tuple(a + b for a, b in zip(t1, t2))
-            if t not in out:
-                out[t] = ("pair", t1, t2)
-    return FeasibleTupleSet(s1.k, out)
+    top = max(s1.top, s2.top)
+    for nbytes in _FIELD_CODES:
+        if 2 * top < 1 << 8 * nbytes:
+            return _packing(s1.k, nbytes)
+    raise InputError(f"tuple coordinate {top} is too large to pack in 64 bits")
 
 
-def _join_tuples(t1: Tuple, t2: Tuple) -> Tuple | None:
-    out = []
-    for a, b in zip(t1, t2):
-        if a == 0 or b == 0 or a == b:
-            out.append(a if a >= b else b)
-        else:
-            return None
-    return tuple(out)
+def tuple_sum(s1: FeasibleTupleSet, s2: FeasibleTupleSet) -> FeasibleTupleSet:
+    """Pairwise componentwise sums (the disjoint-union combination)."""
+    packing = _fold_packing(s1, s2)
+    # addition commutes, so the Python loop runs over the smaller operand
+    small, large = (s1, s2) if len(s1) <= len(s2) else (s2, s1)
+    large_packed = packing.pack(large.tuples)
+    out: set[int] = set()
+    for a in packing.pack(small.tuples):
+        out.update(map(a.__add__, large_packed))
+    return packing.result(out, s1.top + s2.top)
 
 
 def tuple_join(s1: FeasibleTupleSet, s2: FeasibleTupleSet) -> FeasibleTupleSet:
     """Zero-tolerant intersection (the complete-sum combination): each
     coordinate must agree, except that a 0 on either side defers to the
-    other side's value."""
-    if s1.k != s2.k:
-        raise InputError(f"tuple arity mismatch: {s1.k} vs {s2.k}")
-    out: dict[Tuple, object] = {}
-    for t1 in s1.tuples:
-        for t2 in s2.tuples:
-            t = _join_tuples(t1, t2)
-            if t is not None and t not in out:
-                out[t] = ("pair", t1, t2)
-    return FeasibleTupleSet(s1.k, out)
+    other side's value.
+
+    Both operands are packed and grouped by zero pattern. Two packed
+    tuples a and b are compatible iff they agree on the fields where
+    both are non-zero, and their join is then a | b. For each pair of
+    patterns, the right group is hashed on its projection onto the
+    common support and probed with the left group, so the cost follows
+    the compatible pairs, not all pairs.
+    """
+    packing = _fold_packing(s1, s2)
+    shift, field = packing.shift, packing.field
+    left = packing.by_pattern(s1.tuples)
+    out: set[int] = set()
+    for p2, group2 in packing.by_pattern(s2.tuples).items():
+        # with disjoint supports every pair is compatible: one bucket
+        index_by_overlap: dict[int, dict[int, list[int]]] = {0: {0: group2}}
+        for p1, group1 in left.items():
+            # all bits of the fields that are non-zero on both sides
+            overlap = ((p1 & p2) >> shift) * field
+            index = index_by_overlap.get(overlap)
+            if index is None:
+                index = index_by_overlap[overlap] = {}
+                for b in group2:
+                    index.setdefault(b & overlap, []).append(b)
+            for a in group1:
+                bucket = index.get(a & overlap)
+                if bucket is not None:
+                    out.update(map(a.__or__, bucket))
+    return packing.result(out, max(s1.top, s2.top))
+
+
+def _sum_witness(
+    left: FeasibleTupleSet, right: FeasibleTupleSet, tup: Tuple
+) -> tuple[Tuple, Tuple]:
+    """The first pair (t1, t2) in sorted order with t1 + t2 == tup."""
+    for t1 in left.tuples:
+        t2 = tuple(map(operator.sub, tup, t1))
+        if t2 in right:
+            return t1, t2
+    raise AssertionError(f"no sum witness for {tup}")
+
+
+def _join_witness(
+    left: FeasibleTupleSet, right: FeasibleTupleSet, tup: Tuple
+) -> tuple[Tuple, Tuple]:
+    """The first pair (t1, t2) in sorted order whose join is tup: t1
+    agrees with tup on its support, and t2 equals tup off t1's support
+    and is 0 or tup's value on it (options listed in ascending order, so
+    the product runs through candidates for t2 in sorted order)."""
+    for t1 in left.tuples:
+        if all(a == 0 or a == b for a, b in zip(t1, tup)):
+            options = [(0, b) if a else (b,) for a, b in zip(t1, tup)]
+            for t2 in itertools.product(*options):
+                if t2 in right:
+                    return t1, t2
+    raise AssertionError(f"no join witness for {tup}")
 
 
 class _TupleDP:
@@ -149,6 +279,7 @@ class _TupleDP:
         self.budget = product_budget
         self.final: dict[MDNode, FeasibleTupleSet] = {}
         self.chain: dict[MDNode, list[FeasibleTupleSet]] = {}
+        self.leaf = self._leaf_set()  # shared by every leaf of the tree
 
     def run(self) -> FeasibleTupleSet:
         fts = self._set_for(self.tree.root)
@@ -160,7 +291,7 @@ class _TupleDP:
         if got is not None:
             return got
         if node.kind == LEAF:
-            fts = self._leaf_set()
+            fts = self.leaf
         elif node.kind == PRIME:
             fts = self._prime_set(node)
         else:
@@ -171,21 +302,19 @@ class _TupleDP:
     def _leaf_set(self) -> FeasibleTupleSet:
         k = self.k
         out: dict[Tuple, object] = {}
-        for i in range(1, k + 1):
+        for i in range(k, 0, -1):  # unit tuples in sorted order
             e = tuple(1 if j == i - 1 else 0 for j in range(k))
             out[e] = ("leaf", i)
-        return FeasibleTupleSet(k, out)
+        return FeasibleTupleSet._result(k, out, 1)
 
     def _fold_set(self, node: MDNode) -> FeasibleTupleSet:
         op = tuple_sum if node.kind == UNION else tuple_join
         sets = [self._set_for(c) for c in node.children]
-        cur = sets[0]
-        combos: list[FeasibleTupleSet] = []
+        partial = [sets[0]]
         for s in sets[1:]:
-            cur = op(cur, s)
-            combos.append(cur)
-        self.chain[node] = combos
-        return cur
+            partial.append(op(partial[-1], s))
+        self.chain[node] = partial
+        return partial[-1]
 
     def _prime_set(self, node: MDNode) -> FeasibleTupleSet:
         assert node.rep is not None
@@ -227,7 +356,8 @@ class _TupleDP:
                 t = tuple(result)
                 if t not in out:
                     out[t] = ("prime", combo)
-        return FeasibleTupleSet(k, out)
+        top = max(map(max, out), default=0)
+        return FeasibleTupleSet._result(k, dict(sorted(out.items())), top)
 
     def rebuild(self, tup: Tuple) -> Partition:
         colors = [0] * self.tree.graph.n
@@ -235,19 +365,20 @@ class _TupleDP:
         return Partition(self.k, tuple(colors))
 
     def _assign(self, node: MDNode, tup: Tuple, colors: list[int]) -> None:
-        witness = self.final[node].witness[tup]
         if node.kind == LEAF:
             assert node.vertex is not None
-            colors[node.vertex] = witness[1]
+            colors[node.vertex] = self.final[node].witness[tup][1]
             return
         if node.kind == PRIME:
-            for child, child_tup in zip(node.children, witness[1]):
+            _, combo = self.final[node].witness[tup]
+            for child, child_tup in zip(node.children, combo):
                 self._assign(child, child_tup, colors)
             return
-        combos = self.chain[node]
+        recover = _sum_witness if node.kind == UNION else _join_witness
+        partial = self.chain[node]
         cur = tup
         for i in range(len(node.children) - 1, 0, -1):
-            _, left, right = combos[i - 1].witness[cur]
+            left, right = recover(partial[i - 1], self.final[node.children[i]], cur)
             self._assign(node.children[i], right, colors)
             cur = left
         self._assign(node.children[0], cur, colors)
@@ -294,21 +425,16 @@ def feasible_tuples_cograph(
 def _canon_set(node: MDNode, k: int) -> set[Tuple]:
     if node.kind == LEAF:
         return {tuple([0] * (k - 1) + [1])}
+    op = tuple_sum if node.kind == UNION else tuple_join
     sets = [_canon_set(c, k) for c in node.children]
     cur = sets[0]
     for nxt in sets[1:]:
-        out: set[Tuple] = set()
-        for t1 in cur:
-            for base in nxt:
-                for t2 in set(itertools.permutations(base)):
-                    if node.kind == UNION:
-                        t = tuple(a + b for a, b in zip(t1, t2))
-                    else:
-                        t = _join_tuples(t1, t2)
-                        if t is None:
-                            continue
-                    out.add(tuple(sorted(t)))
-        cur = out
+        spread = {p for base in nxt for p in itertools.permutations(base)}
+        combined = op(
+            FeasibleTupleSet(k, dict.fromkeys(cur)),
+            FeasibleTupleSet(k, dict.fromkeys(spread)),
+        )
+        cur = {tuple(sorted(t)) for t in combined}
     return cur
 
 

@@ -173,3 +173,65 @@ def bf_feasible_tuples(g: Graph, k: int) -> set[tuple[int, ...]]:
         if good:
             out.add(tuple(tup))
     return out
+
+
+def ref_tuple_sum(left, right) -> dict[tuple[int, ...], tuple]:
+    """All-pairs componentwise sums of two sorted tuple lists; each sum
+    maps to the first pair (t1, t2), in loop order, that produces it."""
+    out: dict[tuple[int, ...], tuple] = {}
+    for t1 in left:
+        for t2 in right:
+            out.setdefault(tuple(a + b for a, b in zip(t1, t2)), (t1, t2))
+    return out
+
+
+def ref_tuple_join(left, right) -> dict[tuple[int, ...], tuple]:
+    """All-pairs zero-tolerant intersection of two sorted tuple lists
+    (coordinates agree unless one side is 0), with first-pair witnesses."""
+    out: dict[tuple[int, ...], tuple] = {}
+    for t1 in left:
+        for t2 in right:
+            if all(a == 0 or b == 0 or a == b for a, b in zip(t1, t2)):
+                out.setdefault(tuple(max(a, b) for a, b in zip(t1, t2)), (t1, t2))
+    return out
+
+
+def ref_chi_cotree(root, n: int) -> tuple[int, tuple[int, ...]]:
+    """Minimum k and the coloring (vertex -> 1..k) that the all-pairs
+    feasible-tuple DP on a cotree rebuilds from the smallest root tuple,
+    following first-pair witnesses. `root` is a decomposition tree node
+    with `kind` "leaf", "union" or "join", `children` and `vertex`."""
+    k = 1
+    while True:
+        witnesses: dict[int, list[dict]] = {}
+        root_set = _ref_fold(root, k, witnesses)
+        if root_set:
+            colors = [0] * n
+            _ref_assign(root, min(root_set), witnesses, colors)
+            return k, tuple(colors)
+        k += 1
+
+
+def _ref_fold(node, k: int, witnesses: dict) -> dict:
+    if node.kind == "leaf":
+        units = {tuple(int(j == i) for j in range(k)): i + 1 for i in range(k)}
+        witnesses[id(node)] = [units]
+        return units
+    combine = ref_tuple_sum if node.kind == "union" else ref_tuple_join
+    chain = [_ref_fold(node.children[0], k, witnesses)]
+    for child in node.children[1:]:
+        right = _ref_fold(child, k, witnesses)
+        chain.append(combine(sorted(chain[-1]), sorted(right)))
+    witnesses[id(node)] = chain
+    return chain[-1]
+
+
+def _ref_assign(node, tup, witnesses: dict, colors: list[int]) -> None:
+    chain = witnesses[id(node)]
+    if node.kind == "leaf":
+        colors[node.vertex] = chain[0][tup]
+        return
+    for i in range(len(node.children) - 1, 0, -1):
+        tup, right = chain[i][tup]
+        _ref_assign(node.children[i], right, witnesses, colors)
+    _ref_assign(node.children[0], tup, witnesses, colors)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from extpart import InputError, Partition, complete_multipartite, decompose
+from extpart import Graph, InputError, Partition, complete_multipartite, decompose
 from extpart.cli import main
 from extpart.io import (
     format_dot,
@@ -215,6 +215,38 @@ def test_cli_decompose(tmp_path, capsys):
     assert main(["decompose", str(k1)]) == 0
     out = capsys.readouterr().out
     assert "leaf 0" in out and "mw=1" in out
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ('{"n": 2, "edges": [["a", 1]]}', "edges[0][0]"),
+        ('{"n": 1, "edges": [], "parts": ["x"]}', "parts[0]"),
+        ('{"n": 2, "edges": 5}', "edges"),
+        ('{"n": 2, "edges": [[0.5, 1]]}', "edges[0][0]"),
+        ('{"n": true, "edges": []}', "n"),
+    ],
+    ids=["str-endpoint", "str-part", "edges-not-list", "float-endpoint", "bool-n"],
+)
+def test_cli_rejects_loose_json_documents(tmp_path, capsys, doc, field):
+    f = tmp_path / "bad.json"
+    f.write_text(doc)
+    assert main(["test", str(f)]) == 2
+    assert f"`{field}`" in capsys.readouterr().err
+
+
+def test_cli_decompose_deep_threshold_cograph(tmp_path, capsys):
+    # alternating arrivals: vertex v is isolated (v even) or dominating
+    # (v odd) with respect to 0..v-1, so the cotree has depth n - 1
+    n = 400
+    edges = [(u, v) for v in range(1, n, 2) for u in range(v)]
+    f = tmp_path / "threshold.txt"
+    f.write_text(serialize_graph_document(graph_to_document(Graph(n, edges))))
+    assert main(["decompose", str(f)]) == 0
+    expected = "leaf 0"
+    for v in range(1, n):
+        expected = f"{'join' if v % 2 else 'union'}({expected},leaf {v})"
+    assert capsys.readouterr().out.splitlines()[0] == expected
 
 
 def test_cli_genset(capsys):

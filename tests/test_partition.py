@@ -29,7 +29,7 @@ from extpart import (
     tuple_sum,
     verify_partition,
 )
-from extpart.partition import FeasibleTupleSet
+from extpart.partition import FeasibleTupleSet, _join_witness, _sum_witness
 from bruteforce import (
     bf_chi_1ext,
     bf_chromatic,
@@ -38,6 +38,9 @@ from bruteforce import (
     p4,
     random_cograph,
     random_graph,
+    ref_chi_cotree,
+    ref_tuple_join,
+    ref_tuple_sum,
 )
 
 
@@ -65,6 +68,76 @@ def test_tuple_arity_mismatch():
         tuple_sum(fts(2, (1, 0)), fts(3, (1, 0, 0)))
     with pytest.raises(InputError):
         tuple_join(fts(2, (1, 0)), fts(3, (1, 0, 0)))
+
+
+@pytest.mark.parametrize(
+    "bad", [(1, 0, 0), (1,), (1, -1), (1, 0.5), (True, 0), (1, "2"), "ab"], ids=repr
+)
+def test_feasible_tuple_set_rejects_bad_tuples(bad):
+    with pytest.raises(InputError):
+        FeasibleTupleSet(2, {(0, 1): None, bad: None})
+
+
+def test_feasible_tuple_set_rejects_bad_class_count():
+    for k in (0, True, 2.0):
+        with pytest.raises(InputError):
+            FeasibleTupleSet(k, {})
+
+
+def test_fold_refuses_wrong_length_instead_of_truncating():
+    with pytest.raises(InputError):
+        tuple_sum(fts(2, (1, 0, 0)), fts(2, (0, 1)))
+
+
+def _random_tuple_set(rng, k, size, values):
+    return {
+        tuple(rng.choice(values) if rng.random() < 0.6 else 0 for _ in range(k))
+        for _ in range(size)
+    }
+
+
+def _assert_fold_matches_reference(left, right):
+    for op, ref, recover in (
+        (tuple_sum, ref_tuple_sum, _sum_witness),
+        (tuple_join, ref_tuple_join, _join_witness),
+    ):
+        expected = ref(left.tuples, right.tuples)
+        got = op(left, right)
+        assert got.tuples == tuple(sorted(expected))
+        for tup in got.tuples:
+            assert recover(left, right, tup) == expected[tup]
+
+
+@pytest.mark.parametrize("top", [1, 3, 127, 128, 1000, 40_000, 2**40])
+def test_fold_kernels_match_all_pairs_reference(top):
+    # tops on both sides of each field width (8, 16, 32, 64 bits); values
+    # come from a small pool so that joins find agreeing coordinates
+    rng = random.Random(70 + top)
+    for k in range(1, 6):
+        for _ in range(12):
+            values = rng.sample(range(1, top + 1), min(top, 3)) + [top]
+            s1 = _random_tuple_set(rng, k, rng.randint(0, 12), values)
+            s2 = _random_tuple_set(rng, k, rng.randint(0, 12), values)
+            _assert_fold_matches_reference(fts(k, *s1), fts(k, *s2))
+
+
+def test_fold_kernels_edge_cases():
+    zero = fts(3, (0, 0, 0))
+    single = fts(3, (0, 5, 1000))
+    mixed = fts(3, (0, 0, 0), (2, 0, 1000), (0, 5, 0), (7, 5, 1000))
+    for s1 in (fts(3), zero, single, mixed):
+        for s2 in (fts(3), zero, single, mixed):
+            _assert_fold_matches_reference(s1, s2)
+    assert tuple_join(zero, mixed).tuples == mixed.tuples
+    assert tuple_sum(zero, single).tuples == single.tuples
+    assert not tuple_sum(fts(3), mixed)
+
+
+def test_fold_packs_up_to_64_bit_fields():
+    big = 2**62
+    assert tuple_sum(fts(1, (big,)), fts(1, (big,))).tuples == ((2 * big,),)
+    with pytest.raises(InputError, match="too large"):
+        tuple_sum(fts(1, (2 * big,)), fts(1, (0,)))
 
 
 def test_cograph_leaf_tuples():
@@ -132,6 +205,19 @@ def test_symmetry_reduced_decision_agrees():
             full = feasible_tuples_cograph(t, k)
             reduced = feasible_tuples_cograph(t, k, symmetry_reduced=True)
             assert {tuple(sorted(tup)) for tup in full.tuples} == set(reduced.tuples)
+
+
+def test_chi_colorings_match_all_pairs_reference():
+    graphs = [
+        gen_multipartite_extremal(3),
+        gen_interval_extremal(4),
+        complete_multipartite([2, 3, 4, 7, 9])[0],
+    ]
+    rng = random.Random(71)
+    graphs += [random_cograph(rng, rng.randint(8, 16)) for _ in range(12)]
+    for g in graphs:
+        k, part = chi_1ext(g)
+        assert (k, part.color) == ref_chi_cotree(decompose(g).root, g.n)
 
 
 def test_chi_on_independent_sets():
