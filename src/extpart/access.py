@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import InputError, ResourceLimitError
 from .graphs import Graph, VertexSet
-from .independent_sets import _closed_masks, mis_covered_vertices, mis_stats
+from .independent_sets import _bits, _closed_masks, _unit_cover, mis_stats
 
 DEFAULT_ACCESS_CAP = 25
 
@@ -86,5 +86,4 @@ def access_proportion(
 def starvation_set(g: Graph) -> VertexSet:
     """Vertices in no MIS (limit access proportion zero); empty iff the
     graph is 1-extendable. Uncapped."""
-    covered = set(mis_covered_vertices(g))
-    return tuple(v for v in range(g.n) if v not in covered)
+    return tuple(_bits(((1 << g.n) - 1) & ~_unit_cover(g)[1]))

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graphs import Graph, WeightedGraph
-from .independent_sets import alpha, mis_covered_vertices, weighted_profile
-from .moddecomp import JOIN, LEAF, MDNode, MDTree, PRIME, UNION
+from .graphs import Graph
+from .independent_sets import _cover, _unit_cover
+from .moddecomp import JOIN, LEAF, MDNode, MDTree, UNION, is_cograph
 
 
 @dataclass(frozen=True)
@@ -32,25 +32,14 @@ class ExtReport:
     witness_failure: int | None = None
 
 
-def _rec_cograph(node: MDNode) -> tuple[bool, int]:
-    if node.kind == LEAF:
-        return True, 1
-    if node.kind == PRIME:
-        raise InputError(
-            "tree contains a prime node; use is_1ext_mw for general graphs"
-        )
-    results = [_rec_cograph(c) for c in node.children]
-    oks = all(ok for ok, _ in results)
-    alphas = [a for _, a in results]
-    if node.kind == UNION:
-        return oks, sum(alphas)
-    return oks and len(set(alphas)) == 1, max(alphas)
-
-
 def is_1ext_cograph(t: MDTree) -> ExtReport:
     """Cograph recursion, linear in the tree size; raises InputError on a
     tree with prime nodes."""
-    ok, a = _rec_cograph(t.root)
+    if not is_cograph(t):
+        raise InputError(
+            "tree contains a prime node; use is_1ext_mw for general graphs"
+        )
+    ok, a = _rec_mw(t.root)
     return ExtReport(is_1ext=ok, alpha=a)
 
 
@@ -65,9 +54,9 @@ def _rec_mw(node: MDNode) -> tuple[bool, int]:
     if node.kind == JOIN:
         return oks and len(set(alphas)) == 1, max(alphas)
     assert node.rep is not None
-    hw = WeightedGraph(node.rep, tuple(alphas))
-    weight, covered = weighted_profile(hw)
-    return oks and len(covered) == node.rep.n, weight
+    full = (1 << len(alphas)) - 1
+    weight, covered = _cover(full, node.rep.neighbor_masks(), alphas, until_miss=True)
+    return oks and covered == full, weight
 
 
 def is_1ext_mw(g: Graph, t: MDTree) -> ExtReport:
@@ -79,9 +68,9 @@ def is_1ext_mw(g: Graph, t: MDTree) -> ExtReport:
 
 def is_1ext_oracle_report(g: Graph) -> ExtReport:
     """Brute-force test with a starvation witness when negative."""
-    a = alpha(g)
-    covered = set(mis_covered_vertices(g))
-    missing = [v for v in range(g.n) if v not in covered]
+    a, covered = _unit_cover(g, until_miss=True)
+    missing = ((1 << g.n) - 1) & ~covered
     if missing:
-        return ExtReport(is_1ext=False, alpha=a, witness_failure=missing[0])
+        first = (missing & -missing).bit_length() - 1
+        return ExtReport(is_1ext=False, alpha=a, witness_failure=first)
     return ExtReport(is_1ext=True, alpha=a)

@@ -1,23 +1,26 @@
 """Exact independent-set engine: the ground truth other modules are
 validated against.
 
-The independence number is computed by branch and bound on bitmasks
-(branch on a maximum-degree vertex, prune with a greedy clique-cover
-upper bound), so it stays usable for sparse instances around n = 60.
-Exact MIS counting and enumeration run behind an explicit cap and use
-a memoized recursion over vertex-subset masks.
+One branch and bound over vertex bitmasks (`_heaviest`) answers every
+maximum-weight independent-set question, unit weights included. It
+branches on a vertex of maximum degree and prunes with a greedy clique
+cover, summing the largest weight in each clique. `_cover` finds the
+vertices in some maximum-weight set by covering with witness sets: v is
+covered iff w(v) + w-alpha(G - N[v]) reaches the maximum, and each set
+found covers all its vertices. Neither has a size cap. Exact MIS
+counting and enumeration run behind an explicit cap and use a memoized
+recursion over vertex-subset masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import ResourceLimitError
 from .graphs import Graph, VertexSet, WeightedGraph
 
 DEFAULT_COUNT_CAP = 40
-DEFAULT_WEIGHTED_CAP = 25
 
 
 @dataclass(frozen=True)
@@ -40,56 +43,111 @@ def _closed_masks(g: Graph) -> tuple[int, ...]:
     return tuple(m | (1 << v) for v, m in enumerate(g.neighbor_masks()))
 
 
-def _clique_cover_bound(mask: int, nbr: tuple[int, ...]) -> int:
-    """Greedily partition the masked vertices into cliques; the number of
-    cliques bounds the independence number from above."""
-    count = 0
+def _clique_cover_weight(mask: int, nbr: Sequence[int], w: Sequence[int]) -> int:
+    """Greedily partition the masked vertices into cliques and sum the
+    largest weight of each clique: an upper bound on the weight of any
+    independent set within the mask."""
+    total = 0
     while mask:
-        v = (mask & -mask).bit_length() - 1
-        clique = 1 << v
+        low = mask & -mask
+        v = low.bit_length() - 1
+        mask ^= low
+        top = w[v]
         cand = mask & nbr[v]
         while cand:
-            u = (cand & -cand).bit_length() - 1
-            clique |= 1 << u
+            low = cand & -cand
+            u = low.bit_length() - 1
+            mask ^= low
+            if w[u] > top:
+                top = w[u]
             cand &= nbr[u]
-        mask &= ~clique
-        count += 1
-    return count
+        total += top
+    return total
 
 
-def _alpha_mask(mask: int, nbr: tuple[int, ...]) -> int:
-    """Branch-and-bound maximum independent set size within a vertex mask."""
-    best = 0
+def _heaviest(
+    mask: int,
+    nbr: Sequence[int],
+    w: Sequence[int],
+    floor: int = 0,
+    goal: int | None = None,
+) -> tuple[int, int]:
+    """Branch and bound for a maximum-weight independent set within a
+    vertex mask, under non-negative weights w.
 
-    def rec(m: int, size: int) -> None:
-        nonlocal best
-        if m == 0:
-            if size > best:
-                best = size
+    Returns (weight, set mask) of the heaviest set found that weighs more
+    than `floor`, or (floor, 0) when none does. The search stops as soon
+    as a set reaches `goal` (by default the clique-cover bound of the
+    whole mask, which no set exceeds).
+    """
+    heavy = max(w, default=0)
+    if goal is None:
+        goal = _clique_cover_weight(mask, nbr, w)
+    best, best_set = floor, 0
+
+    def rec(m: int, acc: int, chosen: int) -> None:
+        nonlocal best, best_set
+        if acc + heavy * m.bit_count() <= best:
             return
-        if size + m.bit_count() <= best:
-            return
-        if size + _clique_cover_bound(m, nbr) <= best:
+        bound = _clique_cover_weight(m, nbr, w)
+        if acc + bound <= best:
             return
         # branch on a vertex of maximum degree inside the mask
         v = -1
-        vdeg = -1
-        for u in _bits(m):
+        vdeg = 0
+        rest = m
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
             d = (nbr[u] & m).bit_count()
             if d > vdeg:
                 v, vdeg = u, d
-        rec(m & ~nbr[v] & ~(1 << v), size + 1)
-        rec(m & ~(1 << v), size)
+            rest ^= low
+        if vdeg == 0:
+            # an independent mask: its cover is by singletons, so the
+            # bound is its weight
+            best, best_set = acc + bound, chosen | m
+            return
+        bit = 1 << v
+        rec(m & ~nbr[v] & ~bit, acc + w[v], chosen | bit)
+        if best < goal:
+            rec(m & ~bit, acc, chosen)
 
-    rec(mask, 0)
-    return best
+    rec(mask, 0, 0)
+    return best, best_set
+
+
+def _cover(
+    mask: int, nbr: Sequence[int], w: Sequence[int], until_miss: bool = False
+) -> tuple[int, int]:
+    """(maximum weight, mask of the vertices in some maximum-weight
+    independent set) within a vertex mask, by covering with witness sets.
+    With `until_miss`, stops at the first vertex in no such set, so the
+    returned cover equals the mask iff every vertex is covered."""
+    best, covered = _heaviest(mask, nbr, w)
+    rest = mask & ~covered
+    while rest:
+        low = rest & -rest
+        v = low.bit_length() - 1
+        need = best - w[v]
+        got, witness = _heaviest(mask & ~nbr[v] & ~low, nbr, w, need - 1, need)
+        if got < need:
+            if until_miss:
+                break
+        else:
+            covered |= witness | low
+        rest &= ~covered & ~low
+    return best, covered
+
+
+def _unit_cover(g: Graph, until_miss: bool = False) -> tuple[int, int]:
+    """`_cover` of the whole graph with unit weights: (alpha, covered)."""
+    return _cover((1 << g.n) - 1, g.neighbor_masks(), (1,) * g.n, until_miss)
 
 
 def alpha(g: Graph) -> int:
     """Independence number alpha(G); 0 for the empty graph."""
-    if g.n == 0:
-        return 0
-    return _alpha_mask((1 << g.n) - 1, g.neighbor_masks())
+    return _heaviest((1 << g.n) - 1, g.neighbor_masks(), (1,) * g.n)[0]
 
 
 class _MisCounter:
@@ -184,97 +242,46 @@ def _enumerate_mis(g: Graph) -> Iterator[VertexSet]:
 def is_1ext_oracle(g: Graph) -> bool:
     """True iff every vertex lies in some MIS, i.e. for every v,
     alpha(G - N[v]) = alpha(G) - 1. Uncapped branch and bound."""
-    if g.n == 0:
-        return True
-    nbr = g.neighbor_masks()
-    closed = _closed_masks(g)
-    full = (1 << g.n) - 1
-    a = _alpha_mask(full, nbr)
-    return all(_alpha_mask(full & ~closed[v], nbr) == a - 1 for v in range(g.n))
+    return _unit_cover(g, until_miss=True)[1] == (1 << g.n) - 1
 
 
 def mis_covered_vertices(g: Graph) -> VertexSet:
     """Vertices belonging to at least one MIS (uncapped branch and bound)."""
-    if g.n == 0:
-        return ()
-    nbr = g.neighbor_masks()
-    closed = _closed_masks(g)
-    full = (1 << g.n) - 1
-    a = _alpha_mask(full, nbr)
-    return tuple(
-        v for v in range(g.n) if _alpha_mask(full & ~closed[v], nbr) == a - 1
-    )
+    return tuple(_bits(_unit_cover(g)[1]))
 
 
 def maximum_independent_set(g: Graph) -> VertexSet:
     """The lexicographically smallest maximum independent set."""
-    if g.n == 0:
-        return ()
     nbr = g.neighbor_masks()
-    closed = _closed_masks(g)
+    w = (1,) * g.n
     cand = (1 << g.n) - 1
-    remaining = _alpha_mask(cand, nbr)
+    remaining = _heaviest(cand, nbr, w)[0]
     chosen = []
     while remaining > 0:
+        need = remaining - 1
         for v in _bits(cand):
-            rest = cand & ~closed[v]
-            if _alpha_mask(rest, nbr) == remaining - 1:
+            rest = cand & ~nbr[v] & ~(1 << v)
+            if _heaviest(rest, nbr, w, need - 1, need)[0] == need:
                 chosen.append(v)
                 cand = rest
-                remaining -= 1
+                remaining = need
                 break
     return tuple(chosen)
 
 
-def weighted_profile(
-    h: WeightedGraph, cap: int = DEFAULT_WEIGHTED_CAP
-) -> tuple[int, VertexSet]:
+def weighted_profile(h: WeightedGraph) -> tuple[int, VertexSet]:
     """Maximum weight over independent sets of h, together with the set of
-    vertices appearing in at least one maximum-weight independent set.
-
-    Plain recursive enumeration of independent subsets; intended for the
-    small representative graphs of a modular decomposition.
-    """
-    n = h.base.n
-    if n > cap:
-        raise ResourceLimitError(
-            f"weighted independent-set cap exceeded: n={n} > cap={cap}"
-        )
-    if n == 0:
-        return 0, ()
-    nbr = h.base.neighbor_masks()
-    closed = _closed_masks(h.base)
-    weights = h.weights
-    best = 0
-    cover = 0
-
-    def wsum(mask: int) -> int:
-        return sum(weights[v] for v in _bits(mask))
-
-    def rec(cand: int, chosen: int, weight: int) -> None:
-        nonlocal best, cover
-        if weight + wsum(cand) < best:
-            return
-        if cand == 0:
-            if weight > best:
-                best, cover = weight, chosen
-            elif weight == best:
-                cover |= chosen
-            return
-        v = (cand & -cand).bit_length() - 1
-        rec(cand & ~closed[v], chosen | (1 << v), weight + weights[v])
-        rec(cand & ~(1 << v), chosen, weight)
-
-    rec((1 << n) - 1, 0, 0)
-    return best, tuple(_bits(cover))
+    vertices appearing in at least one maximum-weight independent set."""
+    best, covered = _cover((1 << h.base.n) - 1, h.base.neighbor_masks(), h.weights)
+    return best, tuple(_bits(covered))
 
 
-def weighted_alpha(h: WeightedGraph, cap: int = DEFAULT_WEIGHTED_CAP) -> int:
+def weighted_alpha(h: WeightedGraph) -> int:
     """Maximum total weight over independent sets of h."""
-    return weighted_profile(h, cap)[0]
+    return _heaviest((1 << h.base.n) - 1, h.base.neighbor_masks(), h.weights)[0]
 
 
-def weighted_is_1ext(h: WeightedGraph, cap: int = DEFAULT_WEIGHTED_CAP) -> bool:
+def weighted_is_1ext(h: WeightedGraph) -> bool:
     """True iff every vertex of h is in some maximum-weight independent set."""
-    _, covered = weighted_profile(h, cap)
-    return len(covered) == h.base.n
+    full = (1 << h.base.n) - 1
+    return _cover(full, h.base.neighbor_masks(), h.weights, until_miss=True)[1] == full

@@ -9,6 +9,7 @@ canonical (sorted edges), so parse/serialize round trips byte-stable.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,6 +20,9 @@ from .partition import Partition
 
 EDGE_LIST = "edge-list"
 ADJACENCY_JSON = "adjacency-json"
+
+# int() alone would also read "+1", "1_0" and non-ASCII digits
+_INT_FIELD = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -75,19 +79,13 @@ def _parse_edge_list(text: str) -> GraphDocument:
                 raise InputError(f"line {lineno}: duplicate header")
             if len(fields) != 3:
                 raise InputError(f"line {lineno}: header must be `p n m`")
-            try:
-                n, m = int(fields[1]), int(fields[2])
-            except ValueError as exc:
-                raise InputError(f"line {lineno}: bad header numbers") from exc
+            n, m = _int_fields(fields[1:], f"line {lineno}: bad header numbers")
         elif fields[0] == "e":
             if n is None:
                 raise InputError(f"line {lineno}: edge before `p` header")
             if len(fields) != 3:
                 raise InputError(f"line {lineno}: edge must be `e u v`")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError as exc:
-                raise InputError(f"line {lineno}: bad edge endpoints") from exc
+            u, v = _int_fields(fields[1:], f"line {lineno}: bad edge endpoints")
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"line {lineno}: endpoint out of range 0..{n - 1}")
             if u == v:
@@ -101,6 +99,14 @@ def _parse_edge_list(text: str) -> GraphDocument:
     if m is not None and m != len(edges):
         raise InputError(f"header declares {m} edges, found {len(edges)} distinct")
     return GraphDocument(fmt=EDGE_LIST, n=n, edges=tuple(edges))
+
+
+def _int_fields(fields: list[str], error: str) -> list[int]:
+    """Decimal integer fields of a text line; `error` is raised for any
+    field that is not an optional minus sign followed by ASCII digits."""
+    if not all(_INT_FIELD.fullmatch(f) for f in fields):
+        raise InputError(error)
+    return [int(f) for f in fields]
 
 
 def _parse_json(text: str) -> GraphDocument:
@@ -198,10 +204,7 @@ def parse_partition_text(text: str, n: int) -> Partition:
         fields = line.split()
         if len(fields) != 2:
             raise InputError(f"line {lineno}: expected `vertex color`")
-        try:
-            v, c = int(fields[0]), int(fields[1])
-        except ValueError as exc:
-            raise InputError(f"line {lineno}: bad numbers") from exc
+        v, c = _int_fields(fields, f"line {lineno}: bad numbers")
         if not (0 <= v < n):
             raise InputError(f"line {lineno}: vertex {v} out of range 0..{n - 1}")
         if v in assignment:

@@ -39,13 +39,13 @@ import struct
 from dataclasses import dataclass
 
 from .errors import InputError, ResourceLimitError
-from .graphs import Graph, VertexSet, WeightedGraph, induced_subgraph
+from .graphs import Graph, VertexSet, induced_subgraph
 from .independent_sets import (
+    _cover,
     alpha,
     is_1ext_oracle,
     maximum_independent_set,
     mis_covered_vertices,
-    weighted_profile,
 )
 from .moddecomp import (
     LEAF,
@@ -55,6 +55,7 @@ from .moddecomp import (
     UNION,
     decompose,
     is_cograph,
+    module_alpha,
 )
 
 DEFAULT_PRODUCT_BUDGET = 5_000_000
@@ -319,40 +320,32 @@ class _TupleDP:
     def _prime_set(self, node: MDNode) -> FeasibleTupleSet:
         assert node.rep is not None
         k = self.k
-        rep = node.rep
         child_sets = [self._set_for(c) for c in node.children]
         total = math.prod(len(s) for s in child_sets)
         if total > self.budget:
             raise ResourceLimitError(
                 f"prime-node tuple product {total} exceeds budget {self.budget}"
             )
-        m = len(child_sets)
-        # per-color feasibility depends only on which children contribute
-        # which weight, so memoize on that key across combinations
-        color_memo: dict[tuple[tuple[int, int], ...], tuple[int, bool]] = {}
+        nbr = node.rep.neighbor_masks()
+        # per-color feasibility depends only on the weight each child
+        # contributes to the color (0: none), so memoize on that weight
+        # vector across combinations
+        color_memo: dict[Tuple, tuple[int, bool]] = {}
         out: dict[Tuple, object] = {}
         for combo in itertools.product(*(s.tuples for s in child_sets)):
             result = []
-            ok = True
-            for i in range(k):
-                key = tuple((j, combo[j][i]) for j in range(m) if combo[j][i] > 0)
-                cached = color_memo.get(key)
+            for weights in zip(*combo):
+                cached = color_memo.get(weights)
                 if cached is None:
-                    if not key:
-                        cached = (0, True)
-                    else:
-                        idxs = [j for j, _ in key]
-                        sub, _ = induced_subgraph(rep, idxs)
-                        hw = WeightedGraph(sub, tuple(w for _, w in key))
-                        weight, covered = weighted_profile(hw)
-                        cached = (weight, len(covered) == sub.n)
-                    color_memo[key] = cached
+                    # the representative graph on the contributing children
+                    sub = sum(1 << j for j, a in enumerate(weights) if a)
+                    weight, covered = _cover(sub, nbr, weights, until_miss=True)
+                    cached = color_memo[weights] = (weight, covered == sub)
                 a_i, good = cached
                 if not good:
-                    ok = False
                     break
                 result.append(a_i)
-            if ok:
+            else:
                 t = tuple(result)
                 if t not in out:
                     out[t] = ("prime", combo)
@@ -458,7 +451,7 @@ def chi_1ext(
     if g.n == 0:
         return 0, Partition(0, ())
     tree = decompose(g)
-    a = alpha(g)
+    a = module_alpha(g, tree.root)
     bound = min(a, _ceil_2sqrt(g.n))
     if is_cograph(tree):
         bound = min(bound, a.bit_length())

@@ -74,6 +74,17 @@ def bf_is_1ext(g: Graph) -> bool:
     return len(covered) == g.n
 
 
+def bf_weighted_profile(
+    g: Graph, weights: tuple[int, ...]
+) -> tuple[int, tuple[int, ...]]:
+    """Maximum weight over independent sets, and the sorted vertices that
+    lie in some independent set of that weight."""
+    sets = bf_independent_sets(g)
+    best = max(sum(weights[v] for v in s) for s in sets)
+    cover = {v for s in sets if sum(weights[v] for v in s) == best for v in s}
+    return best, tuple(sorted(cover))
+
+
 def bf_modules(g: Graph) -> list[tuple[int, ...]]:
     """All non-empty modules, by checking the definition on every subset."""
     out = []

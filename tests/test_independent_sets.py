@@ -11,6 +11,8 @@ from extpart import (
     complete_graph,
     complete_sum,
     cycle_graph,
+    decompose,
+    disjoint_union,
     empty_graph,
     enumerate_max_independent_sets,
     gen_multipartite_extremal,
@@ -23,10 +25,14 @@ from extpart import (
     weighted_is_1ext,
     weighted_profile,
 )
+from extpart.cli import main
+from extpart.independent_sets import _cover
+from extpart.io import graph_to_document, serialize_graph_document
 from bruteforce import (
     bf_alpha,
     bf_is_1ext,
     bf_mis_list,
+    bf_weighted_profile,
     fig1_bottom,
     p4,
     random_graph,
@@ -188,24 +194,71 @@ def test_weighted_p3():
 
 def test_weighted_matches_exhaustive():
     rng = random.Random(26)
-    for _ in range(30):
-        g = random_graph(rng, rng.randint(1, 7), rng.random())
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(1, 10), rng.random())
         weights = tuple(rng.randint(1, 6) for _ in range(g.n))
         h = WeightedGraph(g, weights)
-        best = 0
-        cover = set()
-        for r in range(g.n + 1):
-            for vs in itertools.combinations(range(g.n), r):
-                if all(not g.has_edge(u, v) for u, v in itertools.combinations(vs, 2)):
-                    w = sum(weights[v] for v in vs)
-                    if w > best:
-                        best, cover = w, set(vs)
-                    elif w == best:
-                        cover |= set(vs)
+        best, cover = bf_weighted_profile(g, weights)
         assert weighted_alpha(h) == best
-        assert weighted_profile(h)[1] == tuple(sorted(cover))
+        assert weighted_profile(h) == (best, cover)
+        assert weighted_is_1ext(h) == (len(cover) == g.n)
 
 
-def test_weighted_cap():
-    with pytest.raises(ResourceLimitError):
-        weighted_alpha(WeightedGraph(empty_graph(26), (1,) * 26))
+def test_cover_on_a_submask_with_zero_weights_outside():
+    # the call a prime node of the tuple DP makes: the whole representative
+    # graph's neighbour masks, a submask of contributing children, and
+    # weight 0 on the rest
+    rng = random.Random(28)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 10), rng.random())
+        sub = rng.getrandbits(g.n)
+        idx = [v for v in range(g.n) if sub >> v & 1]
+        weights = [rng.randint(1, 6) if sub >> v & 1 else 0 for v in range(g.n)]
+        edges = [
+            (i, j)
+            for i, j in itertools.combinations(range(len(idx)), 2)
+            if g.has_edge(idx[i], idx[j])
+        ]
+        best, cover = bf_weighted_profile(
+            Graph(len(idx), edges), tuple(weights[v] for v in idx)
+        )
+        got, covered = _cover(sub, g.neighbor_masks(), weights)
+        assert got == best
+        assert covered == sum(1 << idx[i] for i in cover)
+        got, covered = _cover(sub, g.neighbor_masks(), weights, until_miss=True)
+        assert got == best
+        assert (covered == sub) == (len(cover) == len(idx))
+
+
+def test_weighted_above_25_vertices_is_exact():
+    # a disjoint union weighs the sum of its parts, and a vertex is in a
+    # maximum-weight set of the union iff it is in one of its own part
+    rng = random.Random(29)
+    for _ in range(3):
+        union, weights, best, cover = Graph(0), (), 0, ()
+        while union.n <= 30:
+            part = random_graph(rng, rng.randint(4, 8), rng.random())
+            part_weights = tuple(rng.randint(1, 5) for _ in range(part.n))
+            part_best, part_cover = bf_weighted_profile(part, part_weights)
+            cover += tuple(union.n + v for v in part_cover)
+            best += part_best
+            union = disjoint_union(union, part)
+            weights += part_weights
+        h = WeightedGraph(union, weights)
+        assert weighted_profile(h) == (best, cover)
+        assert weighted_alpha(h) == best
+        assert weighted_is_1ext(h) == (len(cover) == union.n)
+
+
+def test_cli_test_answers_prime_g30(tmp_path, capsys):
+    # a prime graph on 30 vertices: the modular-decomposition test must
+    # answer on its 30-vertex representative graph as the oracle does
+    g = random_graph(random.Random(30), 30, 0.3)
+    root = decompose(g).root
+    assert root.kind == "prime" and len(root.children) == 30
+    f = tmp_path / "g30.txt"
+    f.write_text(serialize_graph_document(graph_to_document(g)))
+    assert main(["test", str(f)]) == (0 if is_1ext_oracle(g) else 1)
+    out = capsys.readouterr().out
+    assert f"alpha: {alpha(g)}" in out
+    assert "method: mw" in out

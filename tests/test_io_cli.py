@@ -35,6 +35,8 @@ def test_edge_list_roundtrip():
 def test_edge_list_errors_carry_line_numbers():
     with pytest.raises(InputError, match="line 2"):
         parse_graph_text("p 3 1\ne 0 5\n")
+    with pytest.raises(InputError, match="line 2: endpoint out of range"):
+        parse_graph_text("p 3 1\ne 0 -1\n")
     with pytest.raises(InputError, match="line 1"):
         parse_graph_text("x nonsense\n")
     with pytest.raises(InputError, match="header"):
@@ -68,6 +70,10 @@ def test_partition_text_roundtrip():
         parse_partition_text("0 1\n", 2)
     with pytest.raises(InputError, match="twice"):
         parse_partition_text("0 1\n0 2\n1 1\n", 2)
+    with pytest.raises(InputError, match="line 1: vertex -1 out of range"):
+        parse_partition_text("-1 1\n", 2)
+    with pytest.raises(InputError, match="line 1: colors start at 1, got -2"):
+        parse_partition_text("0 -2\n", 2)
 
 
 def test_format_tree():
@@ -233,6 +239,31 @@ def test_cli_rejects_loose_json_documents(tmp_path, capsys, doc, field):
     f.write_text(doc)
     assert main(["test", str(f)]) == 2
     assert f"`{field}`" in capsys.readouterr().err
+
+
+LOOSE_INTEGERS = {"plus": "+1", "underscore": "1_0", "fullwidth": "\uff11"}
+
+
+@pytest.mark.parametrize("token", LOOSE_INTEGERS.values(), ids=list(LOOSE_INTEGERS))
+@pytest.mark.parametrize("where", ["p-line", "e-line", "partition-line"])
+def test_cli_rejects_loose_integers(tmp_path, capsys, token, where):
+    # int() reads these tokens as 1, 10 and 1, each a valid value below
+    graph = tmp_path / "g.txt"
+    argv = ["decompose", str(graph)]
+    if where == "p-line":
+        graph.write_text(f"p {token} 0\n")
+        line = 1
+    elif where == "e-line":
+        graph.write_text(f"p 11 1\ne 0 {token}\n")
+        line = 2
+    else:
+        graph.write_text("p 2 0\n")
+        cert = tmp_path / "cert.txt"
+        cert.write_text(f"0 1\n1 {token}\n")
+        argv = ["verify", str(graph), str(cert)]
+        line = 2
+    assert main(argv) == 2
+    assert f"line {line}:" in capsys.readouterr().err
 
 
 def test_cli_decompose_deep_threshold_cograph(tmp_path, capsys):

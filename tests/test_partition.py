@@ -25,6 +25,7 @@ from extpart import (
     log_partition_cograph,
     peel_partition,
     split_integers,
+    substitute,
     tuple_join,
     tuple_sum,
     verify_partition,
@@ -218,6 +219,60 @@ def test_chi_colorings_match_all_pairs_reference():
     for g in graphs:
         k, part = chi_1ext(g)
         assert (k, part.color) == ref_chi_cotree(decompose(g).root, g.n)
+
+
+def _random_prime_graph(rng, n, p):
+    """A seeded G(n, p), drawn again until its only modules are the single
+    vertices and the whole vertex set."""
+    while True:
+        g = random_graph(rng, n, p)
+        root = decompose(g).root
+        if root.kind == "prime" and len(root.children) == n:
+            return g
+
+
+def test_chi_colorings_on_prime_graphs_are_pinned():
+    # colourings rebuilt through ("prime", combo) witnesses: a change in
+    # the weight or the 1-extendability a prime node finds for a colour
+    # moves them
+    rng = random.Random(81)
+    graphs = [_random_prime_graph(rng, n, 0.3) for n in (9, 10, 11, 12)]
+    for n in (4, 5, 6):
+        base = _random_prime_graph(rng, n, 0.5)
+        parts = [random_cograph(rng, rng.randint(1, 4)) for _ in range(n)]
+        graphs.append(substitute(base, parts)[0])
+    mp2, iv2, iv3 = (
+        gen_multipartite_extremal(2),
+        gen_interval_extremal(2),
+        gen_interval_extremal(3),
+    )
+    k1, k2 = complete_graph(1), complete_graph(2)
+    e2, e3 = empty_graph(2), empty_graph(3)
+    for base, parts in [
+        (p4(), [mp2, k1, iv3, e3]),
+        (p4(), [mp2, mp2, k1, e2]),
+        (cycle_graph(5), [mp2, k2, e2, iv2, k1]),
+        (cycle_graph(5), [iv3, k1, mp2, k1, e3]),
+    ]:
+        graphs.append(substitute(base, parts)[0])
+    pinned = [
+        (2, "222222221"),
+        (2, "2222221221"),
+        (2, "22222222221"),
+        (2, "122222212212"),
+        (2, "12212211122222"),
+        (2, "222222222221"),
+        (2, "2222221222222222122"),
+        (3, "233332122332331332"),
+        (3, "23333212333321332"),
+        (3, "233332122323322"),
+        (3, "2332331223333212332"),
+    ]
+    for g, (k, colors) in zip(graphs, pinned, strict=True):
+        assert decompose(g).root.kind == "prime"
+        got_k, part = chi_1ext(g)
+        assert (got_k, "".join(map(str, part.color))) == (k, colors)
+        assert verify_partition(g, part)
 
 
 def test_chi_on_independent_sets():
