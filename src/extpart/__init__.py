@@ -62,7 +62,6 @@ from .partition import (
     FeasibleTupleSet,
     Partition,
     chi_1ext,
-    feasible_tuples_cograph,
     feasible_tuples_mw,
     greedy_sqrt_partition,
     log_partition_cograph,
@@ -99,7 +98,6 @@ __all__ = [
     "disjoint_union",
     "empty_graph",
     "enumerate_max_independent_sets",
-    "feasible_tuples_cograph",
     "feasible_tuples_mw",
     "from_solution",
     "gen_hardness_gadget",

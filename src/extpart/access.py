@@ -43,6 +43,7 @@ class _IndepPolynomial:
         self.memo: dict[int, Fraction] = {0: Fraction(1)}
 
     def eval(self, mask: int) -> Fraction:
+        # recursion depth <= n, which access_proportion holds to its cap
         got = self.memo.get(mask)
         if got is not None:
             return got

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import InputError
 from .graphs import Graph
 from .independent_sets import _cover, _unit_cover
-from .moddecomp import JOIN, LEAF, MDNode, MDTree, UNION, is_cograph
+from .moddecomp import JOIN, LEAF, MDNode, MDTree, UNION, _check_tree, is_cograph
 
 
 @dataclass(frozen=True)
@@ -23,8 +23,8 @@ class ExtReport:
     """Outcome of a 1-extendability test.
 
     witness_failure is best effort: oracle-backed paths report a vertex
-    in no MIS when the answer is negative; the structured recursions
-    leave it unset.
+    in no MIS when the answer is negative; the structured tests leave
+    it unset.
     """
 
     is_1ext: bool
@@ -33,8 +33,9 @@ class ExtReport:
 
 
 def is_1ext_cograph(t: MDTree) -> ExtReport:
-    """Cograph recursion, linear in the tree size; raises InputError on a
-    tree with prime nodes."""
+    """Cotree rule, linear in the tree size: unions need 1-extendable
+    children, joins also equal child independence numbers. Raises
+    InputError on a tree with prime nodes."""
     if not is_cograph(t):
         raise InputError(
             "tree contains a prime node; use is_1ext_mw for general graphs"
@@ -43,25 +44,34 @@ def is_1ext_cograph(t: MDTree) -> ExtReport:
     return ExtReport(is_1ext=ok, alpha=a)
 
 
-def _rec_mw(node: MDNode) -> tuple[bool, int]:
-    if node.kind == LEAF:
-        return True, 1
-    results = [_rec_mw(c) for c in node.children]
-    oks = all(ok for ok, _ in results)
-    alphas = [a for _, a in results]
-    if node.kind == UNION:
-        return oks, sum(alphas)
-    if node.kind == JOIN:
-        return oks and len(set(alphas)) == 1, max(alphas)
-    assert node.rep is not None
-    full = (1 << len(alphas)) - 1
-    weight, covered = _cover(full, node.rep.neighbor_masks(), alphas, until_miss=True)
-    return oks and covered == full, weight
+def _rec_mw(root: MDNode) -> tuple[bool, int]:
+    """(1-extendable, independence number) of root's module, bottom-up."""
+    done: dict[MDNode, tuple[bool, int]] = {}
+    for node in root.bottom_up():
+        if node.kind == LEAF:
+            done[node] = True, 1
+            continue
+        results = [done.pop(c) for c in node.children]
+        oks = all(ok for ok, _ in results)
+        alphas = [a for _, a in results]
+        if node.kind == UNION:
+            done[node] = oks, sum(alphas)
+        elif node.kind == JOIN:
+            done[node] = oks and len(set(alphas)) == 1, max(alphas)
+        else:
+            assert node.rep is not None
+            full = (1 << len(alphas)) - 1
+            weight, covered = _cover(
+                full, node.rep.neighbor_masks(), alphas, until_miss=True
+            )
+            done[node] = oks and covered == full, weight
+    return done[root]
 
 
 def is_1ext_mw(g: Graph, t: MDTree) -> ExtReport:
     """Modular-decomposition test; brute force only on the (small) prime
-    representative graphs."""
+    representative graphs. Raises InputError when t is not g's tree."""
+    _check_tree(g, t)
     ok, a = _rec_mw(t.root)
     return ExtReport(is_1ext=ok, alpha=a)
 

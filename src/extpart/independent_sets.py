@@ -7,9 +7,10 @@ branches on a vertex of maximum degree and prunes with a greedy clique
 cover, summing the largest weight in each clique. `_cover` finds the
 vertices in some maximum-weight set by covering with witness sets: v is
 covered iff w(v) + w-alpha(G - N[v]) reaches the maximum, and each set
-found covers all its vertices. Neither has a size cap. Exact MIS
-counting and enumeration run behind an explicit cap and use a memoized
-recursion over vertex-subset masks.
+found covers all its vertices. Neither has a size cap or recurses: the
+search keeps its open branches on a stack. Exact MIS counting and
+enumeration run behind an explicit cap and use a memoized recursion
+over vertex-subset masks.
 """
 
 from __future__ import annotations
@@ -84,36 +85,35 @@ def _heaviest(
     if goal is None:
         goal = _clique_cover_weight(mask, nbr, w)
     best, best_set = floor, 0
-
-    def rec(m: int, acc: int, chosen: int) -> None:
-        nonlocal best, best_set
-        if acc + heavy * m.bit_count() <= best:
-            return
-        bound = _clique_cover_weight(m, nbr, w)
-        if acc + bound <= best:
-            return
-        # branch on a vertex of maximum degree inside the mask
-        v = -1
-        vdeg = 0
-        rest = m
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            d = (nbr[u] & m).bit_count()
-            if d > vdeg:
-                v, vdeg = u, d
-            rest ^= low
-        if vdeg == 0:
-            # an independent mask: its cover is by singletons, so the
-            # bound is its weight
-            best, best_set = acc + bound, chosen | m
-            return
-        bit = 1 << v
-        rec(m & ~nbr[v] & ~bit, acc + w[v], chosen | bit)
-        if best < goal:
-            rec(m & ~bit, acc, chosen)
-
-    rec(mask, 0, 0)
+    # depth first: follow the include branch, keep each exclude branch
+    stack = [(mask, 0, 0)]
+    while stack:
+        m, acc, chosen = stack.pop()
+        while acc + heavy * m.bit_count() > best:
+            bound = _clique_cover_weight(m, nbr, w)
+            if acc + bound <= best:
+                break
+            # branch on a vertex of maximum degree inside the mask
+            v = -1
+            vdeg = 0
+            rest = m
+            while rest:
+                low = rest & -rest
+                u = low.bit_length() - 1
+                d = (nbr[u] & m).bit_count()
+                if d > vdeg:
+                    v, vdeg = u, d
+                rest ^= low
+            if vdeg == 0:
+                # an independent mask: its cover is by singletons, so the
+                # bound is its weight
+                best, best_set = acc + bound, chosen | m
+                break
+            bit = 1 << v
+            stack.append((m & ~bit, acc, chosen))
+            m, acc, chosen = m & ~nbr[v] & ~bit, acc + w[v], chosen | bit
+        if best >= goal:
+            break
     return best, best_set
 
 
@@ -163,6 +163,7 @@ class _MisCounter:
         self.memo: dict[int, tuple[int, int]] = {0: (0, 1)}
 
     def query(self, mask: int) -> tuple[int, int]:
+        # recursion depth <= n, which callers hold to the count cap
         memo = self.memo
         got = memo.get(mask)
         if got is not None:
@@ -224,6 +225,7 @@ def _enumerate_mis(g: Graph) -> Iterator[VertexSet]:
     full = (1 << g.n) - 1
     target, _ = counter.query(full)
 
+    # recursion depth <= n, which the caller holds to the count cap
     def walk(chosen: list[int], cand: int) -> Iterator[VertexSet]:
         if len(chosen) == target:
             yield tuple(chosen)

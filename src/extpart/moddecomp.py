@@ -1,17 +1,23 @@
 """Modular decomposition: strong-module tree, modular width, cograph
 detection, and weighted representative graphs.
 
-The algorithm is the classical recursive one: split on connected
-components (union node), then on co-connected components (join node);
-when the graph is connected and co-connected the maximal strong modules
-are recovered by closing vertex pairs under splitters, and the quotient
-on them is prime. Polynomial but not linear; fine at desk scale.
+Each vertex set splits by the classical rule: on connected components
+(union node), else on co-connected components (join node); when the
+graph is connected and co-connected the maximal strong modules are
+recovered by closing vertex pairs under splitters, and the quotient on
+them is prime. Polynomial but not linear; fine at desk scale.
+
+Every walk over a tree keeps its pending nodes on an explicit stack,
+the bottom-up ones (building the tree included) through `post_order`,
+so a tree as deep as the graph is large (a threshold cograph) never
+meets the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from operator import attrgetter
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .errors import InputError
 from .graphs import Graph, VertexSet, WeightedGraph, complete_graph
@@ -21,6 +27,22 @@ LEAF = "leaf"
 UNION = "union"
 JOIN = "join"
 PRIME = "prime"
+
+T = TypeVar("T")
+
+
+def post_order(root: T, children: Callable[[T], Sequence[T]]) -> Iterator[T]:
+    """Every item below root, root included, each after all of its
+    children, siblings in the order `children` gives them. `children` is
+    called once per item, before any item is yielded."""
+    # a pre-order that takes the last child first, reversed
+    order = []
+    stack = [root]
+    while stack:
+        item = stack.pop()
+        order.append(item)
+        stack.extend(children(item))
+    return reversed(order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,6 +63,10 @@ class MDNode:
     @property
     def is_leaf(self) -> bool:
         return self.kind == LEAF
+
+    def bottom_up(self) -> Iterator["MDNode"]:
+        """This node and every node below it, each after its children."""
+        return post_order(self, attrgetter("children"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,21 +153,21 @@ def _maximal_strong_modules(nbr: tuple[int, ...], mask: int) -> list[int]:
     return [groups[r] for r in sorted(groups)]
 
 
-def _decompose_mask(g: Graph, nbr: tuple[int, ...], mask: int) -> MDNode:
-    vs = tuple(_bits(mask))
-    if len(vs) == 1:
-        return MDNode(LEAF, vs, vertex=vs[0])
+def _split(
+    g: Graph, nbr: tuple[int, ...], mask: int
+) -> tuple[int, str, list[int], Graph | None]:
+    """(mask, kind, child masks ordered by minimum vertex, representative
+    graph of a prime node) of the module `mask`."""
+    if mask & (mask - 1) == 0:
+        return mask, LEAF, [], None
 
     comps = _split_components(mask, lambda v: nbr[v])
     if len(comps) > 1:
-        children = tuple(_decompose_mask(g, nbr, c) for c in comps)
-        return MDNode(UNION, vs, children)
+        return mask, UNION, comps, None
 
-    full_bit = mask
-    cocomps = _split_components(mask, lambda v: full_bit & ~nbr[v] & ~(1 << v))
+    cocomps = _split_components(mask, lambda v: mask & ~nbr[v] & ~(1 << v))
     if len(cocomps) > 1:
-        children = tuple(_decompose_mask(g, nbr, c) for c in cocomps)
-        return MDNode(JOIN, vs, children)
+        return mask, JOIN, cocomps, None
 
     classes = _maximal_strong_modules(nbr, mask)
     reps = [(c & -c).bit_length() - 1 for c in classes]
@@ -151,9 +177,7 @@ def _decompose_mask(g: Graph, nbr: tuple[int, ...], mask: int) -> MDNode:
         for j in range(i + 1, len(reps))
         if g.has_edge(reps[i], reps[j])
     ]
-    rep_graph = Graph(len(reps), hedges)
-    children = tuple(_decompose_mask(g, nbr, c) for c in classes)
-    return MDNode(PRIME, vs, children, rep=rep_graph)
+    return mask, PRIME, classes, Graph(len(reps), hedges)
 
 
 def decompose(g: Graph) -> MDTree:
@@ -161,8 +185,21 @@ def decompose(g: Graph) -> MDTree:
     minimum contained vertex."""
     if g.n == 0:
         raise InputError("cannot decompose the empty graph")
-    root = _decompose_mask(g, g.neighbor_masks(), (1 << g.n) - 1)
-    return MDTree(graph=g, root=root)
+    nbr = g.neighbor_masks()
+    full = (1 << g.n) - 1
+    built: dict[int, MDNode] = {}
+    for mask, kind, parts, rep in post_order(
+        _split(g, nbr, full), lambda split: [_split(g, nbr, c) for c in split[2]]
+    ):
+        vs = tuple(_bits(mask))
+        children = tuple(map(built.pop, parts))
+        built[mask] = MDNode(kind, vs, children, vs[0] if kind == LEAF else None, rep)
+    return MDTree(graph=g, root=built[full])
+
+
+def _check_tree(g: Graph, t: MDTree) -> None:
+    if t.graph is not g and t.graph != g:
+        raise InputError("decomposition tree does not belong to this graph")
 
 
 def modular_width(t: MDTree) -> int:
@@ -198,16 +235,31 @@ def verify_module(g: Graph, vertices: VertexSet) -> bool:
     return True
 
 
+def _module_alphas(root: MDNode) -> dict[MDNode, int]:
+    """Independence number of every module below root, root included:
+    a sum over union children, a maximum over join children, and the
+    weighted independence number of a prime node's representative with
+    each child weighted by its own."""
+    alphas: dict[MDNode, int] = {}
+    for node in root.bottom_up():
+        if node.kind == LEAF:
+            a = 1
+        elif node.kind == UNION:
+            a = sum(alphas[c] for c in node.children)
+        elif node.kind == JOIN:
+            a = max(alphas[c] for c in node.children)
+        else:
+            assert node.rep is not None
+            weights = tuple(alphas[c] for c in node.children)
+            a = weighted_alpha(WeightedGraph(node.rep, weights))
+        alphas[node] = a
+    return alphas
+
+
 def module_alpha(g: Graph, node: MDNode) -> int:
     """Independence number of the subgraph induced by the node's module,
-    by recursion over the tree (weighted representative at prime nodes)."""
-    if node.kind == LEAF:
-        return 1
-    if node.kind == UNION:
-        return sum(module_alpha(g, c) for c in node.children)
-    if node.kind == JOIN:
-        return max(module_alpha(g, c) for c in node.children)
-    return weighted_alpha(weighted_representative(g, node))
+    bottom-up over the tree (weighted representative at prime nodes)."""
+    return _module_alphas(node)[node]
 
 
 def weighted_representative(g: Graph, node: MDNode) -> WeightedGraph:
@@ -223,22 +275,17 @@ def weighted_representative(g: Graph, node: MDNode) -> WeightedGraph:
     else:
         assert node.rep is not None
         base = node.rep
-    weights = tuple(module_alpha(g, c) for c in node.children)
-    return WeightedGraph(base, weights)
+    alphas = _module_alphas(node)
+    return WeightedGraph(base, tuple(alphas[c] for c in node.children))
 
 
 def reconstruct(t: MDTree) -> Graph:
-    """Rebuild the graph by recursive substitution over the tree; equals
-    the decomposed graph exactly (used as a validation oracle)."""
+    """Rebuild the graph by substitution at every node of the tree;
+    equals the decomposed graph exactly (used as a validation oracle)."""
     edges: list[tuple[int, int]] = []
-
-    def walk(node: MDNode) -> None:
-        if node.is_leaf:
-            return
-        for child in node.children:
-            walk(child)
-        if node.kind == UNION:
-            return
+    for node in t.nodes():
+        if node.kind not in (JOIN, PRIME):
+            continue
         m = len(node.children)
         for i in range(m):
             for j in range(i + 1, m):
@@ -250,6 +297,4 @@ def reconstruct(t: MDTree) -> Graph:
                         for u in node.children[i].module
                         for v in node.children[j].module
                     )
-
-    walk(t.root)
     return Graph(t.graph.n, edges)

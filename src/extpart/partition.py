@@ -11,6 +11,9 @@ one side is 0); prime nodes enumerate child tuple combinations and keep
 those whose per-color weighted representative graphs are 1-extendable.
 The minimum k with a non-empty root set is the number of channels needed
 so that no vertex starves, and witnesses rebuild a concrete partition.
+The one program serves cographs and general graphs alike. It fills the
+node sets bottom-up and rebuilds top-down from a work list, so neither
+walk is bounded by the interpreter's recursion limit.
 
 The two fold kernels pack every k-tuple into one int of k fixed-width
 fields, coordinate 0 most significant, so packed ints sort like their
@@ -25,7 +28,7 @@ witnesses.
 
 Alongside the exact search, three constructive procedures realize the
 general upper bounds: stratified peeling (at most alpha classes), greedy
-MIS stripping (at most 2*sqrt(n) classes), and the halving recursion on
+MIS stripping (at most 2*sqrt(n) classes), and repeated halving on
 cographs (at most log2(alpha) + 1 classes).
 """
 
@@ -53,6 +56,8 @@ from .moddecomp import (
     MDTree,
     PRIME,
     UNION,
+    _check_tree,
+    _module_alphas,
     decompose,
     is_cograph,
     module_alpha,
@@ -283,21 +288,15 @@ class _TupleDP:
         self.leaf = self._leaf_set()  # shared by every leaf of the tree
 
     def run(self) -> FeasibleTupleSet:
-        fts = self._set_for(self.tree.root)
+        for node in self.tree.root.bottom_up():
+            if node.kind == LEAF:
+                self.final[node] = self.leaf
+            elif node.kind == PRIME:
+                self.final[node] = self._prime_set(node)
+            else:
+                self.final[node] = self._fold_set(node)
+        fts = self.final[self.tree.root]
         fts._dp = self
-        return fts
-
-    def _set_for(self, node: MDNode) -> FeasibleTupleSet:
-        got = self.final.get(node)
-        if got is not None:
-            return got
-        if node.kind == LEAF:
-            fts = self.leaf
-        elif node.kind == PRIME:
-            fts = self._prime_set(node)
-        else:
-            fts = self._fold_set(node)
-        self.final[node] = fts
         return fts
 
     def _leaf_set(self) -> FeasibleTupleSet:
@@ -310,7 +309,7 @@ class _TupleDP:
 
     def _fold_set(self, node: MDNode) -> FeasibleTupleSet:
         op = tuple_sum if node.kind == UNION else tuple_join
-        sets = [self._set_for(c) for c in node.children]
+        sets = [self.final[c] for c in node.children]
         partial = [sets[0]]
         for s in sets[1:]:
             partial.append(op(partial[-1], s))
@@ -320,7 +319,7 @@ class _TupleDP:
     def _prime_set(self, node: MDNode) -> FeasibleTupleSet:
         assert node.rep is not None
         k = self.k
-        child_sets = [self._set_for(c) for c in node.children]
+        child_sets = [self.final[c] for c in node.children]
         total = math.prod(len(s) for s in child_sets)
         if total > self.budget:
             raise ResourceLimitError(
@@ -353,28 +352,29 @@ class _TupleDP:
         return FeasibleTupleSet._result(k, dict(sorted(out.items())), top)
 
     def rebuild(self, tup: Tuple) -> Partition:
+        """Expand a root tuple top-down into a colouring: each node hands
+        every child the tuple its witness names."""
         colors = [0] * self.tree.graph.n
-        self._assign(self.tree.root, tup, colors)
+        work = [(self.tree.root, tup)]
+        while work:
+            node, tup = work.pop()
+            witness = self.final[node].witness
+            if node.kind == LEAF:
+                assert node.vertex is not None
+                colors[node.vertex] = witness[tup][1]
+            elif node.kind == PRIME:
+                work.extend(zip(node.children, witness[tup][1]))
+            else:
+                recover = _sum_witness if node.kind == UNION else _join_witness
+                partial = self.chain[node]
+                for i in range(len(node.children) - 1, 0, -1):
+                    left, right = recover(
+                        partial[i - 1], self.final[node.children[i]], tup
+                    )
+                    work.append((node.children[i], right))
+                    tup = left
+                work.append((node.children[0], tup))
         return Partition(self.k, tuple(colors))
-
-    def _assign(self, node: MDNode, tup: Tuple, colors: list[int]) -> None:
-        if node.kind == LEAF:
-            assert node.vertex is not None
-            colors[node.vertex] = self.final[node].witness[tup][1]
-            return
-        if node.kind == PRIME:
-            _, combo = self.final[node].witness[tup]
-            for child, child_tup in zip(node.children, combo):
-                self._assign(child, child_tup, colors)
-            return
-        recover = _sum_witness if node.kind == UNION else _join_witness
-        partial = self.chain[node]
-        cur = tup
-        for i in range(len(node.children) - 1, 0, -1):
-            left, right = recover(partial[i - 1], self.final[node.children[i]], cur)
-            self._assign(node.children[i], right, colors)
-            cur = left
-        self._assign(node.children[0], cur, colors)
 
 
 def feasible_tuples_mw(
@@ -388,47 +388,8 @@ def feasible_tuples_mw(
     g splits into k induced 1-extendable subgraphs."""
     if k < 1:
         raise InputError(f"class count k must be at least 1, got {k}")
-    if t.graph is not g and t.graph != g:
-        raise InputError("decomposition tree does not belong to this graph")
+    _check_tree(g, t)
     return _TupleDP(t, k, product_budget).run()
-
-
-def feasible_tuples_cograph(
-    t: MDTree, k: int, *, symmetry_reduced: bool = False
-) -> FeasibleTupleSet:
-    """Cograph specialization of the feasible-tuple program.
-
-    With symmetry_reduced=True, tuples are canonicalized to nondecreasing
-    order at every combination step (expanding one operand's permutations
-    to stay exact), which bounds blowup for the decision question; the
-    reduced sets carry no witnesses, so they cannot rebuild partitions.
-    """
-    if k < 1:
-        raise InputError(f"class count k must be at least 1, got {k}")
-    if not is_cograph(t):
-        raise InputError(
-            "tree contains a prime node; use feasible_tuples_mw instead"
-        )
-    if not symmetry_reduced:
-        return _TupleDP(t, k, DEFAULT_PRODUCT_BUDGET).run()
-    canon = _canon_set(t.root, k)
-    return FeasibleTupleSet(k, {tup: None for tup in canon})
-
-
-def _canon_set(node: MDNode, k: int) -> set[Tuple]:
-    if node.kind == LEAF:
-        return {tuple([0] * (k - 1) + [1])}
-    op = tuple_sum if node.kind == UNION else tuple_join
-    sets = [_canon_set(c, k) for c in node.children]
-    cur = sets[0]
-    for nxt in sets[1:]:
-        spread = {p for base in nxt for p in itertools.permutations(base)}
-        combined = op(
-            FeasibleTupleSet(k, dict.fromkeys(cur)),
-            FeasibleTupleSet(k, dict.fromkeys(spread)),
-        )
-        cur = {tuple(sorted(t)) for t in combined}
-    return cur
 
 
 def _ceil_2sqrt(n: int) -> int:
@@ -562,85 +523,52 @@ def split_integers(alpha1: int, alpha2: int, k: int) -> tuple[int, int]:
     return alpha1 // 2 + 1, alpha2 // 2
 
 
-def _cograph_alphas(node: MDNode, out: dict[MDNode, int]) -> int:
-    if node.kind == LEAF:
-        a = 1
-    elif node.kind == UNION:
-        a = sum(_cograph_alphas(c, out) for c in node.children)
-    else:
-        a = max(_cograph_alphas(c, out) for c in node.children)
-    out[node] = a
-    return a
+def _extract(root: MDNode, k: int, alphas: dict[MDNode, int]) -> list[int]:
+    """The part V1 of a split of root's module into (V1, V2), with V1
+    inducing a 1-extendable subgraph of independence number exactly k
+    and alpha(V2) <= max(k-1, alpha - k).
 
-
-def _extract(
-    node: MDNode, k: int, alphas: dict[MDNode, int]
-) -> tuple[list[int], list[int]]:
-    """Partition the node's module into (V1, V2) with V1 inducing a
-    1-extendable subgraph of independence number exactly k and
-    alpha(V2) <= max(k-1, alpha - k)."""
-    if node.kind == LEAF:
-        assert node.vertex is not None
-        return ([node.vertex], []) if k == 1 else ([], [node.vertex])
-    if node.kind == UNION:
-        return _extract_union(list(node.children), k, alphas)
-    return _extract_join(list(node.children), k, alphas)
-
-
-def _extract_union(
-    children: list[MDNode], k: int, alphas: dict[MDNode, int]
-) -> tuple[list[int], list[int]]:
-    if len(children) == 1:
-        return _extract(children[0], k, alphas)
-    first, rest = children[0], children[1:]
-    a1 = alphas[first]
-    a2 = sum(alphas[c] for c in rest)
-    k1, k2 = split_integers(a1, a2, k)
-    v1a, v2a = _extract(first, k1, alphas)
-    v1b, v2b = _extract_union(rest, k2, alphas)
-    return v1a + v1b, v2a + v2b
-
-
-def _extract_join(
-    children: list[MDNode], k: int, alphas: dict[MDNode, int]
-) -> tuple[list[int], list[int]]:
-    if len(children) == 1:
-        return _extract(children[0], k, alphas)
-    first, rest = children[0], children[1:]
-    a_first = alphas[first]
-    a_rest = max(alphas[c] for c in rest)
-    # the larger-alpha side leads; ties keep the first child in tree order
-    if a_first >= a_rest:
-        a_small = a_rest
-
-        def big(kk: int) -> tuple[list[int], list[int]]:
-            return _extract(first, kk, alphas)
-
-        def small(kk: int) -> tuple[list[int], list[int]]:
-            return _extract_join(rest, kk, alphas)
-
-        small_vertices = [v for c in rest for v in c.module]
-    else:
-        a_small = a_first
-
-        def big(kk: int) -> tuple[list[int], list[int]]:
-            return _extract_join(rest, kk, alphas)
-
-        def small(kk: int) -> tuple[list[int], list[int]]:
-            return _extract(first, kk, alphas)
-
-        small_vertices = list(first.module)
-    if k <= a_small:
-        v1a, v2a = big(k)
-        v1b, v2b = small(k)
-        return v1a + v1b, v2a + v2b
-    v1a, v2a = big(k)
-    return v1a, v2a + small_vertices
+    The target is carried down the cotree. A union splits it between its
+    first child and the union of the rest by split_integers, then the
+    rest in the same way. A join hands it whole to its first child and
+    to the join of the rest; the side of smaller alpha (the rest, on a
+    tie) takes it only when it fits, and otherwise goes to V2 whole.
+    """
+    v1: list[int] = []
+    work = [(root, k)]
+    while work:
+        node, k = work.pop()
+        if node.kind == LEAF:
+            assert node.vertex is not None
+            if k == 1:
+                v1.append(node.vertex)
+            continue
+        children = node.children
+        if node.kind == UNION:
+            rest = sum(alphas[c] for c in children)
+            for c in children[:-1]:
+                rest -= alphas[c]
+                k_first, k = split_integers(alphas[c], rest, k)
+                work.append((c, k_first))
+            work.append((children[-1], k))
+            continue
+        # peak[i]: the largest alpha among children[i + 1:]
+        peak = [*itertools.accumulate((alphas[c] for c in children[:0:-1]), max)][::-1]
+        for c, a_rest in zip(children, peak):
+            if alphas[c] >= a_rest:
+                work.append((c, k))
+                if k > a_rest:
+                    break
+            elif k <= alphas[c]:
+                work.append((c, k))
+        else:
+            work.append((children[-1], k))
+    return v1
 
 
 def log_partition_cograph(t: MDTree) -> Partition:
-    """Halving recursion on a cograph: extract a 1-extendable subgraph of
-    independence number ceil(alpha/2), recurse on the rest; uses at most
+    """Repeated halving on a cograph: extract a 1-extendable subgraph of
+    independence number ceil(alpha/2), repeat on the rest; uses at most
     floor(log2(alpha)) + 1 classes."""
     if not is_cograph(t):
         raise InputError("log partition requires a cograph decomposition")
@@ -650,21 +578,20 @@ def log_partition_cograph(t: MDTree) -> Partition:
     cur_g, cur_tree = g, t
     c = 0
     while cur_g.n > 0:
-        alphas: dict[MDNode, int] = {}
-        a = _cograph_alphas(cur_tree.root, alphas)
+        alphas = _module_alphas(cur_tree.root)
+        a = alphas[cur_tree.root]
         c += 1
         if a <= 1:
             for v in range(cur_g.n):
                 colors[to_orig[v]] = c
             break
-        k = (a + 1) // 2
-        v1, v2 = _extract(cur_tree.root, k, alphas)
+        v1 = _extract(cur_tree.root, (a + 1) // 2, alphas)
         for v in v1:
             colors[to_orig[v]] = c
+        v2 = sorted(set(range(cur_g.n)).difference(v1))
         if not v2:
             break
-        v2_sorted = sorted(v2)
-        cur_g, _ = induced_subgraph(cur_g, v2_sorted)
-        to_orig = [to_orig[v] for v in v2_sorted]
+        cur_g, _ = induced_subgraph(cur_g, v2)
+        to_orig = [to_orig[v] for v in v2]
         cur_tree = decompose(cur_g)
     return Partition(c, tuple(colors))

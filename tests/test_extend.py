@@ -59,6 +59,13 @@ def test_mw_examples():
     assert is_1ext_mw(c5, decompose(c5)).is_1ext
 
 
+def test_mw_rejects_a_tree_of_another_graph():
+    with pytest.raises(InputError, match="does not belong"):
+        is_1ext_mw(p4(), decompose(complete_graph(3)))
+    # an equal graph built separately is accepted
+    assert is_1ext_mw(p4(), decompose(p4())).is_1ext
+
+
 def test_mw_agrees_with_oracle_exhaustive_n5():
     for n in range(1, 6):
         pairs = list(itertools.combinations(range(n), 2))

@@ -262,3 +262,22 @@ def test_cli_test_answers_prime_g30(tmp_path, capsys):
     out = capsys.readouterr().out
     assert f"alpha: {alpha(g)}" in out
     assert "method: mw" in out
+
+
+def test_deep_searches_need_no_recursion(tmp_path, capsys):
+    # each include step of the search removes one edge, so it runs about
+    # 1,200 branching levels deep, past the default recursion limit
+    matching = Graph(2400, [(2 * i, 2 * i + 1) for i in range(1200)])
+    assert alpha(matching) == 1200
+    # b_i = i matched to a_i = 1200 + i, a hub 2400 adjacent to every b_i
+    # and a pendant 2401 on the hub: the first search takes the hub and
+    # the a_i, and the search for b_0 covers all b_i and the pendant
+    # 1,200 levels deep, so the cover needs no further search
+    edges = [(i, 1200 + i) for i in range(1200)] + [(i, 2400) for i in range(1200)]
+    hub = Graph(2402, edges + [(2400, 2401)])
+    assert is_1ext_oracle(hub)
+    f = tmp_path / "hub.txt"
+    f.write_text(serialize_graph_document(graph_to_document(hub)))
+    assert main(["test", str(f), "--method", "oracle"]) == 0
+    out = capsys.readouterr().out
+    assert out == "1-extendable: yes\nalpha: 1201\nmethod: oracle\n"

@@ -22,7 +22,26 @@ from extpart import (
     weighted_alpha,
     weighted_representative,
 )
+from extpart.moddecomp import post_order
 from bruteforce import bf_modules, p4, random_cograph, random_graph
+
+
+def test_post_order_matches_recursive_reference():
+    def reference(node, out):
+        for child in node[1]:
+            reference(child, out)
+        out.append(node[0])
+        return out
+
+    rng = random.Random(27)
+    for _ in range(20):
+        nodes = [(0, [])]
+        for label in range(1, rng.randint(1, 40)):
+            child = (label, [])
+            rng.choice(nodes)[1].append(child)
+            nodes.append(child)
+        got = [label for label, _ in post_order(nodes[0], lambda node: node[1])]
+        assert got == reference(nodes[0], [])
 
 
 def test_decompose_single_vertex():

@@ -16,7 +16,6 @@ from extpart import (
     decompose,
     disjoint_union,
     empty_graph,
-    feasible_tuples_cograph,
     feasible_tuples_mw,
     gen_hardness_gadget,
     gen_interval_extremal,
@@ -142,28 +141,23 @@ def test_fold_packs_up_to_64_bit_fields():
 
 
 def test_cograph_leaf_tuples():
-    t = decompose(complete_graph(1))
-    assert feasible_tuples_cograph(t, 2).tuples == ((0, 1), (1, 0))
+    g = complete_graph(1)
+    assert feasible_tuples_mw(g, decompose(g), 2).tuples == ((0, 1), (1, 0))
 
 
 def test_cograph_multipartite_23():
     g, _ = complete_multipartite([2, 3])
     t = decompose(g)
-    assert not feasible_tuples_cograph(t, 1)
-    s = feasible_tuples_cograph(t, 2)
+    assert not feasible_tuples_mw(g, t, 1)
+    s = feasible_tuples_mw(g, t, 2)
     assert s and (2, 1) in s
 
 
 def test_cograph_extremal_family_tuples():
     g = gen_multipartite_extremal(2)
     t = decompose(g)
-    assert not feasible_tuples_cograph(t, 2)
-    assert feasible_tuples_cograph(t, 3)
-
-
-def test_cograph_rejects_prime():
-    with pytest.raises(InputError, match="feasible_tuples_mw"):
-        feasible_tuples_cograph(decompose(p4()), 2)
+    assert not feasible_tuples_mw(g, t, 2)
+    assert feasible_tuples_mw(g, t, 3)
 
 
 def test_mw_tuples_examples():
@@ -195,17 +189,6 @@ def test_tuples_monotone_in_k():
             cur = set(feasible_tuples_mw(g, t, k).tuples)
             nxt = set(feasible_tuples_mw(g, t, k + 1).tuples)
             assert {tup + (0,) for tup in cur} <= nxt
-
-
-def test_symmetry_reduced_decision_agrees():
-    rng = random.Random(63)
-    for _ in range(25):
-        g = random_cograph(rng, rng.randint(1, 8))
-        t = decompose(g)
-        for k in (1, 2, 3):
-            full = feasible_tuples_cograph(t, k)
-            reduced = feasible_tuples_cograph(t, k, symmetry_reduced=True)
-            assert {tuple(sorted(tup)) for tup in full.tuples} == set(reduced.tuples)
 
 
 def test_chi_colorings_match_all_pairs_reference():
@@ -408,6 +391,33 @@ def test_log_partition_bound_random_cotrees():
         g = random_cograph(rng, rng.randint(1, 12))
         part = log_partition_cograph(decompose(g))
         assert part.k <= alpha(g).bit_length()
+        assert verify_partition(g, part)
+
+
+def test_log_partition_colorings_are_pinned():
+    # which vertices each halving round extracts, not only the bound
+    graphs = [gen_multipartite_extremal(3), gen_interval_extremal(4)]
+    rng = random.Random(72)
+    graphs += [random_cograph(rng, rng.randint(10, 30)) for _ in range(12)]
+    pinned = [
+        (4, "322111141213121"),
+        (4, "321411212131121"),
+        (3, "112313112122"),
+        (3, "111111133121311211"),
+        (2, "211111121211"),
+        (4, "4411222211312221"),
+        (3, "1321212221111211"),
+        (4, "34111222231122111113"),
+        (3, "322222222333323111212121"),
+        (3, "13111221121"),
+        (4, "4111112131213311211211211321"),
+        (2, "2211222222211"),
+        (4, "222411111222221111311211"),
+        (3, "1311121112"),
+    ]
+    for g, (k, colors) in zip(graphs, pinned, strict=True):
+        part = log_partition_cograph(decompose(g))
+        assert (part.k, "".join(map(str, part.color))) == (k, colors)
         assert verify_partition(g, part)
 
 
