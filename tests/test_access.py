@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from extpart import (
+    Graph,
     InputError,
     ResourceLimitError,
     access_proportion,
@@ -14,7 +15,13 @@ from extpart import (
     mis_stats,
     starvation_set,
 )
-from bruteforce import bf_independent_sets, fig1_bottom, p4, random_graph
+from bruteforce import (
+    bf_independent_sets,
+    bf_mis_list,
+    fig1_bottom,
+    p4,
+    random_graph,
+)
 
 
 def bf_access(g, theta):
@@ -61,9 +68,39 @@ def test_matches_direct_sum_evaluation():
     rng = random.Random(31)
     for _ in range(25):
         g = random_graph(rng, rng.randint(1, 8), rng.random())
-        for theta in (1, 10, Fraction(7, 3)):
+        for theta in (1, 10, Fraction(7, 3), Fraction(1, 7), Fraction(3, 2), 50):
             prof = access_proportion(g, theta)
             assert list(prof.p) == bf_access(g, theta)
+
+
+def test_limits_match_mis_counts():
+    rng = random.Random(35)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 10), rng.random())
+        sets = bf_mis_list(g)
+        prof = access_proportion(g, 50)
+        assert prof.limit_p == tuple(
+            Fraction(sum(v in s for s in sets), len(sets)) for v in range(g.n)
+        )
+        assert prof.starved == tuple(v for v in range(g.n) if prof.limit_p[v] == 0)
+
+
+def test_empty_graph_profile():
+    prof = access_proportion(Graph(0), Fraction(3, 2))
+    assert prof.theta == Fraction(3, 2)
+    assert (prof.p, prof.limit_p, prof.starved) == ((), (), ())
+
+
+def test_edgeless_and_complete_at_the_default_cap():
+    for theta in (1, Fraction(1, 7), Fraction(3, 2), 1000):
+        theta = Fraction(theta)
+        prof = access_proportion(empty_graph(25), theta)
+        assert prof.p == (theta / (1 + theta),) * 25
+        assert prof.limit_p == (Fraction(1),) * 25
+        prof = access_proportion(complete_graph(25), theta)
+        assert prof.p == (theta / (1 + 25 * theta),) * 25
+        assert prof.limit_p == (Fraction(1, 25),) * 25
+        assert prof.starved == ()
 
 
 def test_values_in_unit_interval_and_shared_denominator():

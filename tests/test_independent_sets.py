@@ -84,6 +84,41 @@ def test_mis_stats_counting_identity():
         assert all(0 <= c <= s.total_mis_count for c in s.per_vertex_mis_count)
 
 
+def test_mis_stats_and_enumeration_match_bruteforce():
+    rng = random.Random(28)
+    graphs = [Graph(0)]
+    graphs += [random_graph(rng, rng.randint(1, 10), rng.random()) for _ in range(60)]
+    for g in graphs:
+        sets = bf_mis_list(g)
+        s = mis_stats(g)
+        assert s.alpha == len(sets[0])
+        assert s.total_mis_count == len(sets)
+        assert s.per_vertex_mis_count == tuple(
+            sum(v in m for m in sets) for v in range(g.n)
+        )
+        assert list(enumerate_max_independent_sets(g)) == sets
+
+
+def test_mis_stats_at_the_default_cap():
+    # a vertex's counts fill n + 1 bits only on the edgeless graph
+    s = mis_stats(empty_graph(40))
+    assert (s.alpha, s.total_mis_count) == (40, 1)
+    assert s.per_vertex_mis_count == (1,) * 40
+    s = mis_stats(complete_graph(40))
+    assert (s.alpha, s.total_mis_count) == (1, 40)
+    assert s.per_vertex_mis_count == (1,) * 40
+    # 20 disjoint edges: one endpoint of each, 2^20 sets, 2^19 through each
+    s = mis_stats(Graph(40, [(2 * i, 2 * i + 1) for i in range(20)]))
+    assert (s.alpha, s.total_mis_count) == (20, 2**20)
+    assert s.per_vertex_mis_count == (2**19,) * 40
+
+
+def test_empty_graph_counts_and_enumeration():
+    s = mis_stats(Graph(0))
+    assert (s.alpha, s.total_mis_count, s.per_vertex_mis_count) == (0, 1, ())
+    assert list(enumerate_max_independent_sets(Graph(0))) == [()]
+
+
 def test_mis_stats_cap():
     with pytest.raises(ResourceLimitError, match="cap=40"):
         mis_stats(empty_graph(41))
