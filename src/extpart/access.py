@@ -6,9 +6,11 @@ durations, the access proportion is
     p_v = sum(theta^|S| for independent S containing v)
           / sum(theta^|S| for all independent S)
 
-where the sum ranges over every independent set including the empty set.
-As theta grows, p_v tends to (#MIS containing v) / (#MIS). All arithmetic
-is exact rational; floats appear only in display code.
+where the sum ranges over every independent set including the empty set:
+theta * I(G - N[v]; theta) / I(G; theta) for the independence polynomial
+I of `independent_sets`. As theta grows, p_v tends to (#MIS containing v)
+/ (#MIS), read off the leading coefficients. All arithmetic is exact
+rational; floats appear only in display code.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError
 from .graphs import Graph, VertexSet
-from .independent_sets import _bits, _closed_masks, _unit_cover, mis_stats
+from .independent_sets import _IndependencePolynomial, _bits, _check_cap, _unit_cover
 
 DEFAULT_ACCESS_CAP = 25
 
@@ -33,28 +35,6 @@ class AccessProfile:
     starved: VertexSet
 
 
-class _IndepPolynomial:
-    """Memoized evaluation of Z(mask) = sum of theta^|S| over independent
-    sets S within the mask (the empty set contributes theta^0 = 1)."""
-
-    def __init__(self, g: Graph, theta: Fraction):
-        self.closed = _closed_masks(g)
-        self.theta = theta
-        self.memo: dict[int, Fraction] = {0: Fraction(1)}
-
-    def eval(self, mask: int) -> Fraction:
-        # recursion depth <= n, which access_proportion holds to its cap
-        got = self.memo.get(mask)
-        if got is not None:
-            return got
-        v = (mask & -mask).bit_length() - 1
-        res = self.eval(mask & ~(1 << v)) + self.theta * self.eval(
-            mask & ~self.closed[v]
-        )
-        self.memo[mask] = res
-        return res
-
-
 def access_proportion(
     g: Graph, theta: Fraction | int | str, cap: int = DEFAULT_ACCESS_CAP
 ) -> AccessProfile:
@@ -66,20 +46,22 @@ def access_proportion(
     theta = Fraction(theta)
     if theta <= 0:
         raise InputError(f"theta must be positive, got {theta}")
-    if g.n > cap:
-        raise ResourceLimitError(
-            f"access_proportion cap exceeded: n={g.n} > cap={cap}"
-        )
-    poly = _IndepPolynomial(g, theta)
+    _check_cap("access_proportion", g.n, cap)
+    poly = _IndependencePolynomial(g)
     full = (1 << g.n) - 1
-    denom = poly.eval(full)
-    p = tuple(
-        theta * poly.eval(full & ~poly.closed[v]) / denom for v in range(g.n)
-    )
-    stats = mis_stats(g, cap=max(cap, g.n))
-    limit = tuple(
-        Fraction(c, stats.total_mis_count) for c in stats.per_vertex_mis_count
-    )
+    top = poly.query(full)
+    a = poly.degree(top)
+    # q^alpha * I(p/q) in integers, for theta = p/q and degree <= alpha
+    num, den = theta.numerator, theta.denominator
+    weights = [num**i * den ** (a - i) for i in range(a + 1)]
+
+    def scaled(f: int) -> int:
+        return sum(w * poly.coefficient(f, i) for i, w in enumerate(weights))
+
+    z, mis = den * scaled(top), poly.coefficient(top, a)
+    fs = [poly.query(full & ~c) for c in poly.closed]
+    p = tuple(Fraction(num * scaled(f), z) for f in fs)
+    limit = tuple(Fraction(poly.coefficient(f, a - 1), mis) for f in fs)
     starved = tuple(v for v in range(g.n) if limit[v] == 0)
     return AccessProfile(theta=theta, p=p, limit_p=limit, starved=starved)
 

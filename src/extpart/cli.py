@@ -106,21 +106,31 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_pv(args: argparse.Namespace) -> int:
     g, doc = _load_graph(args.input)
+    text = args.theta
+    # Fraction() would also read underscores and non-ASCII digits
+    if not text.isascii() or "_" in text:
+        raise InputError(f"bad theta {text!r}: ASCII digits only, no underscores")
     try:
-        theta = Fraction(args.theta)
+        theta = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad theta {args.theta!r}") from exc
+        raise InputError(f"bad theta {text!r}") from exc
     profile = access_proportion(g, theta)
 
     def show(x: Fraction) -> str:
         return f"{float(x):.6g}" if args.float else str(x)
 
-    print(f"theta: {show(theta)}")
-    print("vertex\tp\tlimit")
-    for v in range(g.n):
-        print(f"{doc.vertex_label(v)}\t{show(profile.p[v])}\t{show(profile.limit_p[v])}")
+    # render every line first, so a failure prints nothing
+    try:
+        lines = [f"theta: {show(theta)}", "vertex\tp\tlimit"]
+        lines += [
+            f"{doc.vertex_label(v)}\t{show(profile.p[v])}\t{show(profile.limit_p[v])}"
+            for v in range(g.n)
+        ]
+    except (OverflowError, ValueError) as exc:
+        raise InputError(f"at theta {text!r} a value is too large to print") from exc
     if profile.starved:
-        print(f"starved: {_labels(doc, profile.starved)}")
+        lines.append(f"starved: {_labels(doc, profile.starved)}")
+    print("\n".join(lines))
     return 0
 
 

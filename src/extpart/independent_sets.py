@@ -8,9 +8,10 @@ cover, summing the largest weight in each clique. `_cover` finds the
 vertices in some maximum-weight set by covering with witness sets: v is
 covered iff w(v) + w-alpha(G - N[v]) reaches the maximum, and each set
 found covers all its vertices. Neither has a size cap or recurses: the
-search keeps its open branches on a stack. Exact MIS counting and
-enumeration run behind an explicit cap and use a memoized recursion
-over vertex-subset masks.
+search keeps its open branches on a stack. Exact MIS counting,
+enumeration and the CSMA access proportions run behind an explicit cap
+on one memoized independence polynomial per graph, whose degree is
+alpha and whose leading coefficient counts the maximum sets.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ from .errors import ResourceLimitError
 from .graphs import Graph, VertexSet, WeightedGraph
 
 DEFAULT_COUNT_CAP = 40
+
+
+def _check_cap(what: str, n: int, cap: int) -> None:
+    if n > cap:
+        raise ResourceLimitError(f"{what} cap exceeded: n={n} > cap={cap}")
 
 
 @dataclass(frozen=True)
@@ -38,10 +44,6 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _closed_masks(g: Graph) -> tuple[int, ...]:
-    return tuple(m | (1 << v) for v, m in enumerate(g.neighbor_masks()))
 
 
 def _clique_cover_weight(mask: int, nbr: Sequence[int], w: Sequence[int]) -> int:
@@ -150,42 +152,51 @@ def alpha(g: Graph) -> int:
     return _heaviest((1 << g.n) - 1, g.neighbor_masks(), (1,) * g.n)[0]
 
 
-class _MisCounter:
-    """Memoized exact (alpha, #MIS) over vertex-subset masks.
-
-    One instance per graph; the memo is shared across queries, which is
-    what makes the per-vertex counts cheap.
+class _IndependencePolynomial:
+    """Memoized independence polynomial I(mask; x), the sum of x^|S| over
+    independent S within a vertex mask, packed into one int: the number of
+    independent i-sets lives in bits [i*s, (i+1)*s), s = n + 1. No count
+    exceeds 2^n, so a field never overflows; I(m) = I(m - v) + x*I(m - N[v])
+    is one shift and one add. k isolated vertices multiply by (1 + 2^s)^k,
+    which keeps a matching's memo linear in n instead of 2^(n/2) masks. An
+    entry holds up to n*(alpha + 1) bits, so the memo grows with alpha.
     """
 
     def __init__(self, g: Graph):
-        self.nbr = g.neighbor_masks()
-        self.closed = _closed_masks(g)
-        self.memo: dict[int, tuple[int, int]] = {0: (0, 1)}
+        self.closed = tuple(m | (1 << v) for v, m in enumerate(g.neighbor_masks()))
+        self.shift = g.n + 1
+        self.memo: dict[int, int] = {0: 1}
 
-    def query(self, mask: int) -> tuple[int, int]:
-        # recursion depth <= n, which callers hold to the count cap
+    def query(self, mask: int) -> int:
+        # recursion depth <= n, which callers hold to their count caps
         memo = self.memo
         got = memo.get(mask)
         if got is not None:
             return got
-        nbr = self.nbr
+        closed = self.closed
         v = -1
-        vdeg = -1
+        vdeg = 1
+        isolated = 0
         for u in _bits(mask):
-            d = (nbr[u] & mask).bit_count()
+            d = (closed[u] & mask).bit_count()
             if d > vdeg:
                 v, vdeg = u, d
-        a0, c0 = self.query(mask & ~(1 << v))
-        a1, c1 = self.query(mask & ~self.closed[v])
-        a1 += 1
-        if a1 > a0:
-            res = (a1, c1)
-        elif a1 < a0:
-            res = (a0, c0)
-        else:
-            res = (a0, c0 + c1)
+            elif d == 1:
+                isolated |= 1 << u
+        res = (1 + (1 << self.shift)) ** isolated.bit_count()
+        if v >= 0:
+            rest = mask & ~isolated
+            res *= self.query(rest & ~(1 << v)) + (
+                self.query(rest & ~closed[v]) << self.shift
+            )
         memo[mask] = res
         return res
+
+    def degree(self, poly: int) -> int:
+        return (poly.bit_length() - 1) // self.shift
+
+    def coefficient(self, poly: int, i: int) -> int:
+        return (poly >> (i * self.shift)) & ((1 << self.shift) - 1)
 
 
 def mis_stats(g: Graph, cap: int = DEFAULT_COUNT_CAP) -> MisStats:
@@ -194,18 +205,16 @@ def mis_stats(g: Graph, cap: int = DEFAULT_COUNT_CAP) -> MisStats:
     Counts are arbitrary-precision integers. Raises ResourceLimitError
     when n exceeds the brute-force cap.
     """
-    if g.n > cap:
-        raise ResourceLimitError(
-            f"mis_stats brute-force cap exceeded: n={g.n} > cap={cap}"
-        )
-    counter = _MisCounter(g)
+    _check_cap("mis_stats brute-force", g.n, cap)
+    poly = _IndependencePolynomial(g)
     full = (1 << g.n) - 1
-    a, total = counter.query(full)
-    per = []
-    for v in range(g.n):
-        av, cv = counter.query(full & ~counter.closed[v])
-        per.append(cv if av == a - 1 else 0)
-    return MisStats(alpha=a, total_mis_count=total, per_vertex_mis_count=tuple(per))
+    top = poly.query(full)
+    a = poly.degree(top)
+    # I(G - N[v]) has degree <= alpha - 1; there it counts the MIS through v
+    per = tuple(poly.coefficient(poly.query(full & ~c), a - 1) for c in poly.closed)
+    return MisStats(
+        alpha=a, total_mis_count=poly.coefficient(top, a), per_vertex_mis_count=per
+    )
 
 
 def enumerate_max_independent_sets(
@@ -213,17 +222,14 @@ def enumerate_max_independent_sets(
 ) -> Iterator[VertexSet]:
     """Yield every maximum independent set exactly once, lexicographically
     by sorted vertex list."""
-    if g.n > cap:
-        raise ResourceLimitError(
-            f"enumeration brute-force cap exceeded: n={g.n} > cap={cap}"
-        )
+    _check_cap("enumeration brute-force", g.n, cap)
     return _enumerate_mis(g)
 
 
 def _enumerate_mis(g: Graph) -> Iterator[VertexSet]:
-    counter = _MisCounter(g)
+    poly = _IndependencePolynomial(g)
     full = (1 << g.n) - 1
-    target, _ = counter.query(full)
+    target = poly.degree(poly.query(full))
 
     # recursion depth <= n, which the caller holds to the count cap
     def walk(chosen: list[int], cand: int) -> Iterator[VertexSet]:
@@ -232,8 +238,8 @@ def _enumerate_mis(g: Graph) -> Iterator[VertexSet]:
             return
         need = target - len(chosen)
         for v in _bits(cand):
-            rest = cand & ~counter.closed[v] & ~((1 << (v + 1)) - 1)
-            if 1 + counter.query(rest)[0] >= need:
+            rest = cand & ~poly.closed[v] & ~((1 << (v + 1)) - 1)
+            if 1 + poly.degree(poly.query(rest)) >= need:
                 chosen.append(v)
                 yield from walk(chosen, rest)
                 chosen.pop()

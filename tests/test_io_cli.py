@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -13,7 +14,7 @@ from extpart.io import (
     parse_partition_text,
     serialize_graph_document,
 )
-from bruteforce import fig1_bottom, p4
+from bruteforce import fig1_bottom, p4, random_graph
 
 P4_TEXT = "p 4 3\ne 0 1\ne 1 2\ne 2 3\n"
 BOTTOM_JSON = json.dumps(
@@ -177,6 +178,46 @@ def test_cli_pv_theta_rational_and_float(tmp_path, capsys):
     assert "1/2" in capsys.readouterr().out
     assert main(["pv", str(f), "--theta", "3/2", "--float"]) == 0
     assert "0.6" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "theta, flags",
+    [
+        ("7" * 501, []),  # exact values of more digits than Python prints
+        ("1e5000", []),  # theta itself has 5001 digits
+        ("1e5000", ["--float"]),  # theta overflows a float
+    ],
+    ids=["501-digits", "1e5000", "1e5000-float"],
+)
+def test_cli_pv_unprintable_values_print_nothing(tmp_path, capsys, theta, flags):
+    f = tmp_path / "g25.txt"
+    g = random_graph(random.Random(36), 25, 0.3)
+    f.write_text(serialize_graph_document(graph_to_document(g)))
+    assert main(["pv", str(f), "--theta", theta, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert theta in captured.err
+
+
+@pytest.mark.parametrize("theta", ["1_0", "\uff11", "1\u0660"])
+def test_cli_pv_rejects_loose_theta(tmp_path, capsys, theta):
+    # Fraction() reads these as 10, 1 and 10
+    f = tmp_path / "p4.txt"
+    f.write_text(P4_TEXT)
+    assert main(["pv", str(f), "--theta", theta]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad theta" in captured.err
+
+
+@pytest.mark.parametrize(
+    "theta, value", [("50", "50"), ("3/2", "3/2"), ("0.5", "1/2"), ("1e3", "1000")]
+)
+def test_cli_pv_accepts_ascii_theta(tmp_path, capsys, theta, value):
+    f = tmp_path / "p4.txt"
+    f.write_text(P4_TEXT)
+    assert main(["pv", str(f), "--theta", theta]) == 0
+    assert capsys.readouterr().out.startswith(f"theta: {value}\n")
 
 
 def test_cli_pv_cap(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """No function in the package calls itself, directly or through other
-functions of the package, apart from three memoized counters whose
-depth is held down by a count cap.
+functions of the package, apart from the memoized independence
+polynomial and the enumeration built on it, whose depth is held down by
+a count cap.
 
 Tree walks recurse once per tree level, and a threshold cograph's tree
 is as deep as the graph is large, so a recursive walker fails with
@@ -14,14 +15,12 @@ import extpart
 
 ALLOWED = {
     # one level per vertex of the mask; mis_stats and
-    # enumerate_max_independent_sets refuse n > 40 by default
-    "independent_sets._MisCounter.query",
+    # enumerate_max_independent_sets refuse n > 40 by default,
+    # access_proportion n > 25
+    "independent_sets._IndependencePolynomial.query",
     # one level per chosen vertex; enumerate_max_independent_sets
     # refuses n > 40 by default
     "independent_sets._enumerate_mis.walk",
-    # one level per vertex of the mask; access_proportion refuses n > 25
-    # by default
-    "access._IndepPolynomial.eval",
 }
 
 
