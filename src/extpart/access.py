@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .graphs import Graph, VertexSet
-from .independent_sets import _IndependencePolynomial, _bits, _check_cap, _unit_cover
+from .graphs import Graph, VertexSet, _bits
+from .independent_sets import _IndependencePolynomial, _check_cap, _unit_cover
 
 DEFAULT_ACCESS_CAP = 25
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -39,6 +40,10 @@ from .moddecomp import decompose, is_cograph, modular_width
 from .partition import chi_1ext, verify_partition
 
 
+# a theta written with a decimal exponent: (mantissa, exponent sign, exponent)
+_SCALED = re.compile(r"\s*[-+]?(?=\.?[0-9])([0-9]*\.?[0-9]*)[eE]([-+]?)([0-9]+)\s*")
+
+
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -50,7 +55,7 @@ def _read_text(path: str) -> str:
 
 def _load_graph(path: str) -> tuple[Graph, GraphDocument]:
     doc = parse_graph_text(_read_text(path))
-    return doc.to_graph(), doc
+    return doc.graph, doc
 
 
 def _labels(doc: GraphDocument, vertices) -> str:
@@ -107,27 +112,36 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_pv(args: argparse.Namespace) -> int:
     g, doc = _load_graph(args.input)
     text = args.theta
+    unprintable = f"at theta {text!r} a value is too large to print"
     # Fraction() would also read underscores and non-ASCII digits
     if not text.isascii() or "_" in text:
         raise InputError(f"bad theta {text!r}: ASCII digits only, no underscores")
+    # Fraction() builds 10**exponent at any size: refuse an exponent that leaves
+    # more digits than Python prints once the mantissa's digits cancel theirs
+    # (a float prints a tiny theta as 0)
+    scaled = _SCALED.fullmatch(text)
+    limit = sys.get_int_max_str_digits()
+    if scaled and len(scaled[3]) <= limit and not (args.float and scaled[2] == "-"):
+        if int(scaled[3]) - len(scaled[1]) > limit:
+            raise InputError(unprintable)
     try:
         theta = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad theta {text!r}") from exc
-    profile = access_proportion(g, theta)
 
     def show(x: Fraction) -> str:
-        return f"{float(x):.6g}" if args.float else str(x)
+        try:
+            return f"{float(x):.6g}" if args.float else str(x)
+        except (OverflowError, ValueError) as exc:
+            raise InputError(unprintable) from exc
 
-    # render every line first, so a failure prints nothing
-    try:
-        lines = [f"theta: {show(theta)}", "vertex\tp\tlimit"]
-        lines += [
-            f"{doc.vertex_label(v)}\t{show(profile.p[v])}\t{show(profile.limit_p[v])}"
-            for v in range(g.n)
-        ]
-    except (OverflowError, ValueError) as exc:
-        raise InputError(f"at theta {text!r} a value is too large to print") from exc
+    # render every line, theta's before the work, so a failure prints nothing
+    lines = [f"theta: {show(theta)}", "vertex\tp\tlimit"]
+    profile = access_proportion(g, theta)
+    lines += [
+        f"{doc.vertex_label(v)}\t{show(profile.p[v])}\t{show(profile.limit_p[v])}"
+        for v in range(g.n)
+    ]
     if profile.starved:
         lines.append(f"starved: {_labels(doc, profile.starved)}")
     print("\n".join(lines))

@@ -1,83 +1,93 @@
 """Immutable simple graphs, composition operations, and named graph families.
 
-Vertices are dense 0-based integers. Composition operations relabel
-deterministically (first operand first, then the second; parts in list
-order) so callers can assert exact edge sets rather than isomorphism.
+Vertices are dense 0-based integers; a graph is its neighbour bitmasks.
+Composition operations relabel deterministically (first operand first,
+then the second; parts in list order) so callers can assert exact edge
+sets rather than isomorphism.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import accumulate
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
 
 VertexSet = tuple[int, ...]
 
 
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    Edges are kept as a sorted tuple of (u, v) pairs with u < v, plus a
-    per-vertex sorted adjacency tuple built once at construction.
-    Instances are immutable: no operation mutates its inputs, so graphs
-    are safe to share across threads.
+    The only state is one neighbour bitmask per vertex: bit v of mask u is
+    set iff u and v are adjacent. `edges` is derived on first read and
+    kept, `adj`, `m` and `degree` on every read. Instances are immutable,
+    so graphs are safe to share across threads.
     """
 
-    __slots__ = ("n", "edges", "adj", "_masks")
+    __slots__ = ("n", "_masks", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise InputError(f"vertex count must be non-negative, got {n}")
-        canon = set()
+        masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
-            canon.add((u, v) if u < v else (v, u))
-        self.n: int = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(canon))
-        lists: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
-            lists[u].append(v)
-            lists[v].append(u)
-        self.adj: tuple[VertexSet, ...] = tuple(tuple(sorted(a)) for a in lists)
-        self._masks: tuple[int, ...] | None = None
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        self.n, self._masks, self._edges = n, tuple(masks), None
+
+    @classmethod
+    def _from_masks(cls, n: int, masks: tuple[int, ...]) -> "Graph":
+        """A graph on n checked masks: symmetric, in range, loop-free."""
+        g = cls.__new__(cls)
+        g.n, g._masks, g._edges = n, masks, None
+        return g
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Sorted (u, v) pairs with u < v (computed once)."""
+        if self._edges is None:
+            rows = enumerate(self._masks)
+            self._edges = tuple((u, v) for u, nb in rows for v in _bits(nb >> u << u))
+        return self._edges
+
+    @property
+    def adj(self) -> tuple[VertexSet, ...]:
+        return tuple(tuple(_bits(mask)) for mask in self._masks)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
-
-    def vertices(self) -> range:
-        return range(self.n)
+        return sum(mask.bit_count() for mask in self._masks) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
-        row = self.adj[u]
-        i = bisect_left(row, v)
-        return i < len(row) and row[i] == v
+        return self._masks[u] >> v & 1 == 1
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self._masks[v].bit_count()
 
     def neighbor_masks(self) -> tuple[int, ...]:
-        """Per-vertex open neighborhoods as bitmasks (computed once)."""
-        if self._masks is None:
-            masks = [0] * self.n
-            for u, v in self.edges:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-            self._masks = tuple(masks)
+        """Per-vertex open neighborhoods as bitmasks."""
         return self._masks
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and self._masks == other._masks
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self._masks))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -124,30 +134,27 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
     New labels follow the sorted order of the requested vertices.
     """
     chosen = sorted(set(vertices))
+    members = 0
     for v in chosen:
         if not (0 <= v < g.n):
             raise InputError(f"vertex {v} out of range for n={g.n}")
+        members |= 1 << v
     index = {old: new for new, old in enumerate(chosen)}
-    members = set(chosen)
-    edges = [
-        (index[u], index[v]) for u, v in g.edges if u in members and v in members
-    ]
-    return Graph(len(chosen), edges), index
+    nbr = g.neighbor_masks()
+    masks = tuple(
+        sum(1 << index[w] for w in _bits(nbr[old] & members)) for old in chosen
+    )
+    return Graph._from_masks(len(chosen), masks), index
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union; g2's vertices are shifted by g1.n."""
-    off = g1.n
-    edges = list(g1.edges) + [(u + off, v + off) for u, v in g2.edges]
-    return Graph(g1.n + g2.n, edges)
+    return substitute(empty_graph(2), [g1, g2])[0]
 
 
 def complete_sum(g1: Graph, g2: Graph) -> Graph:
     """Complete sum (join): disjoint union plus all cross edges."""
-    off = g1.n
-    edges = list(g1.edges) + [(u + off, v + off) for u, v in g2.edges]
-    edges += [(u, v + off) for u in range(g1.n) for v in range(g2.n)]
-    return Graph(g1.n + g2.n, edges)
+    return substitute(complete_graph(2), [g1, g2])[0]
 
 
 def substitute(h: Graph, parts: Sequence[Graph]) -> tuple[Graph, list[VertexSet]]:
@@ -155,25 +162,14 @@ def substitute(h: Graph, parts: Sequence[Graph]) -> tuple[Graph, list[VertexSet]
     module boundaries (each part's vertex set is a module of the result)."""
     if len(parts) != h.n:
         raise InputError(f"expected {h.n} parts, got {len(parts)}")
-    offsets = []
-    total = 0
-    for p in parts:
-        offsets.append(total)
-        total += p.n
-    edges: list[tuple[int, int]] = []
-    for i, p in enumerate(parts):
-        off = offsets[i]
-        edges += [(u + off, v + off) for u, v in p.edges]
-    for i, j in h.edges:
-        edges += [
-            (u + offsets[i], v + offsets[j])
-            for u in range(parts[i].n)
-            for v in range(parts[j].n)
-        ]
-    boundaries = [
-        tuple(range(offsets[i], offsets[i] + parts[i].n)) for i in range(h.n)
-    ]
-    return Graph(total, edges), boundaries
+    *offsets, total = accumulate((p.n for p in parts), initial=0)
+    blocks = [((1 << p.n) - 1) << off for p, off in zip(parts, offsets)]
+    masks: list[int] = []
+    for p, off, hmask in zip(parts, offsets, h.neighbor_masks()):
+        cross = sum(blocks[j] for j in _bits(hmask))
+        masks += [mask << off | cross for mask in p.neighbor_masks()]
+    boundaries = [tuple(range(off, off + p.n)) for p, off in zip(parts, offsets)]
+    return Graph._from_masks(total, tuple(masks)), boundaries
 
 
 def complete_multipartite(sizes: Sequence[int]) -> tuple[Graph, list[VertexSet]]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import ResourceLimitError
-from .graphs import Graph, VertexSet, WeightedGraph
+from .graphs import Graph, VertexSet, WeightedGraph, _bits
 
 DEFAULT_COUNT_CAP = 40
 
@@ -37,13 +37,6 @@ class MisStats:
     alpha: int
     total_mis_count: int
     per_vertex_mis_count: tuple[int, ...]
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _clique_cover_weight(mask: int, nbr: Sequence[int], w: Sequence[int]) -> int:

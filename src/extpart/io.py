@@ -2,7 +2,8 @@
 certificates, decomposition trees, and DOT export.
 
 The edge-list format is DIMACS-like but 0-based: a header line `p n m`,
-one `e u v` line per edge, and `c ...` comment lines. Serialization is
+one `e u v` line per edge, and `c ...` comment lines. Parsing checks each
+edge once and sets its bits in the graph's masks. Serialization is
 canonical (sorted edges), so parse/serialize round trips byte-stable.
 """
 
@@ -23,6 +24,8 @@ ADJACENCY_JSON = "adjacency-json"
 
 # int() alone would also read "+1", "1_0" and non-ASCII digits
 _INT_FIELD = re.compile(r"-?[0-9]+")
+# a well-formed `e u v` line; any other line is checked field by field
+_EDGE_LINE = re.compile(r"\s*e\s+(-?[0-9]+)\s+(-?[0-9]+)\s*")
 
 
 @dataclass(frozen=True)
@@ -30,13 +33,9 @@ class GraphDocument:
     """A parsed graph plus optional vertex names and multipartite parts."""
 
     fmt: str
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    graph: Graph
     names: tuple[str, ...] | None = None
     parts: tuple[int, ...] | None = None
-
-    def to_graph(self) -> Graph:
-        return Graph(self.n, self.edges)
 
     def vertex_label(self, v: int) -> str:
         return self.names[v] if self.names else str(v)
@@ -50,8 +49,7 @@ def graph_to_document(
 ) -> GraphDocument:
     return GraphDocument(
         fmt=fmt,
-        n=g.n,
-        edges=g.edges,
+        graph=g,
         names=tuple(names) if names is not None else None,
         parts=tuple(parts) if parts is not None else None,
     )
@@ -66,39 +64,46 @@ def parse_graph_text(text: str) -> GraphDocument:
 
 
 def _parse_edge_list(text: str) -> GraphDocument:
-    n = None
-    m = None
-    edges: list[tuple[int, int]] = []
+    n = m = None
+    masks: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
-        if fields[0] == "p":
-            if n is not None:
-                raise InputError(f"line {lineno}: duplicate header")
-            if len(fields) != 3:
-                raise InputError(f"line {lineno}: header must be `p n m`")
-            n, m = _int_fields(fields[1:], f"line {lineno}: bad header numbers")
-        elif fields[0] == "e":
+        edge = _EDGE_LINE.fullmatch(raw)
+        if edge and n is not None:
+            u, v = int(edge[1]), int(edge[2])
+        else:
+            line = raw.strip()
+            if not line or line.startswith("c"):
+                continue
+            fields = line.split()
+            if fields[0] == "p":
+                if n is not None:
+                    raise InputError(f"line {lineno}: duplicate header")
+                if len(fields) != 3:
+                    raise InputError(f"line {lineno}: header must be `p n m`")
+                n, m = _int_fields(fields[1:], f"line {lineno}: bad header numbers")
+                masks = [0] * n
+                continue
+            if fields[0] != "e":
+                raise InputError(f"line {lineno}: unrecognized line {line!r}")
             if n is None:
                 raise InputError(f"line {lineno}: edge before `p` header")
             if len(fields) != 3:
                 raise InputError(f"line {lineno}: edge must be `e u v`")
             u, v = _int_fields(fields[1:], f"line {lineno}: bad edge endpoints")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"line {lineno}: endpoint out of range 0..{n - 1}")
-            if u == v:
-                raise InputError(f"line {lineno}: self-loop at {u}")
-            edges.append((u, v) if u < v else (v, u))
-        else:
-            raise InputError(f"line {lineno}: unrecognized line {line!r}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(f"line {lineno}: endpoint out of range 0..{n - 1}")
+        if u == v:
+            raise InputError(f"line {lineno}: self-loop at {u}")
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
     if n is None:
         raise InputError("missing `p n m` header line")
-    edges = sorted(set(edges))
-    if m is not None and m != len(edges):
-        raise InputError(f"header declares {m} edges, found {len(edges)} distinct")
-    return GraphDocument(fmt=EDGE_LIST, n=n, edges=tuple(edges))
+    found = sum(mask.bit_count() for mask in masks) // 2
+    if m != found:
+        raise InputError(f"header declares {m} edges, found {found} distinct")
+    if n < 0:
+        raise InputError(f"vertex count must be non-negative, got {n}")
+    return GraphDocument(fmt=EDGE_LIST, graph=Graph._from_masks(n, tuple(masks)))
 
 
 def _int_fields(fields: list[str], error: str) -> list[int]:
@@ -126,13 +131,14 @@ def _parse_json(text: str) -> GraphDocument:
     n = _json_int(data["n"], "n")
     if n < 0:
         raise InputError(f"`n` must be non-negative, got {n}")
-    edges = []
+    masks = [0] * n
     for i, e in enumerate(_json_list(data["edges"], "edges")):
         u, v = _json_list(e, f"edges[{i}]", length=2)
         u, v = _json_int(u, f"edges[{i}][0]"), _json_int(v, f"edges[{i}][1]")
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise InputError(f"`edges[{i}]`: bad edge ({u}, {v}) for n={n}")
-        edges.append((u, v) if u < v else (v, u))
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
     names = None
     if data.get("names") is not None:
         names = tuple(_json_list(data["names"], "names"))
@@ -149,8 +155,7 @@ def _parse_json(text: str) -> GraphDocument:
             raise InputError("parts must be positive and sum to n")
     return GraphDocument(
         fmt=ADJACENCY_JSON,
-        n=n,
-        edges=tuple(sorted(set(edges))),
+        graph=Graph._from_masks(n, tuple(masks)),
         names=names,
         parts=parts,
     )
@@ -177,14 +182,15 @@ def _excerpt(value: object) -> str:
 
 def serialize_graph_document(doc: GraphDocument) -> str:
     """Canonical text for a document (byte-stable under round trips)."""
+    n, edges = doc.graph.n, doc.graph.edges
     if doc.fmt == EDGE_LIST:
-        lines = [f"p {doc.n} {len(doc.edges)}"]
-        lines += [f"e {u} {v}" for u, v in doc.edges]
+        lines = [f"p {n} {len(edges)}"]
+        lines += [f"e {u} {v}" for u, v in edges]
         return "\n".join(lines) + "\n"
     payload: dict[str, object] = {
         "format": ADJACENCY_JSON,
-        "n": doc.n,
-        "edges": [list(e) for e in doc.edges],
+        "n": n,
+        "edges": [list(e) for e in edges],
     }
     if doc.names is not None:
         payload["names"] = list(doc.names)

@@ -20,8 +20,15 @@ from operator import attrgetter
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .errors import InputError
-from .graphs import Graph, VertexSet, WeightedGraph, complete_graph
-from .independent_sets import _bits, weighted_alpha
+from .graphs import (
+    Graph,
+    VertexSet,
+    WeightedGraph,
+    _bits,
+    complete_graph,
+    induced_subgraph,
+)
+from .independent_sets import weighted_alpha
 
 LEAF = "leaf"
 UNION = "union"
@@ -170,14 +177,9 @@ def _split(
         return mask, JOIN, cocomps, None
 
     classes = _maximal_strong_modules(nbr, mask)
+    # ascending, so representative vertex i stands for classes[i]
     reps = [(c & -c).bit_length() - 1 for c in classes]
-    hedges = [
-        (i, j)
-        for i in range(len(reps))
-        for j in range(i + 1, len(reps))
-        if g.has_edge(reps[i], reps[j])
-    ]
-    return mask, PRIME, classes, Graph(len(reps), hedges)
+    return mask, PRIME, classes, induced_subgraph(g, reps)[0]
 
 
 def decompose(g: Graph) -> MDTree:
@@ -226,13 +228,7 @@ def verify_module(g: Graph, vertices: VertexSet) -> bool:
             raise InputError(f"vertex {v} out of range for n={g.n}")
         mask |= 1 << v
     nbr = g.neighbor_masks()
-    for w in range(g.n):
-        if mask & (1 << w):
-            continue
-        x = nbr[w] & mask
-        if x and x != mask:
-            return False
-    return True
+    return all(nbr[w] & mask in (0, mask) for w in _bits((1 << g.n) - 1 & ~mask))
 
 
 def _module_alphas(root: MDNode) -> dict[MDNode, int]:
@@ -282,19 +278,13 @@ def weighted_representative(g: Graph, node: MDNode) -> WeightedGraph:
 def reconstruct(t: MDTree) -> Graph:
     """Rebuild the graph by substitution at every node of the tree;
     equals the decomposed graph exactly (used as a validation oracle)."""
-    edges: list[tuple[int, int]] = []
+    masks = [0] * t.graph.n
     for node in t.nodes():
-        if node.kind not in (JOIN, PRIME):
-            continue
-        m = len(node.children)
-        for i in range(m):
-            for j in range(i + 1, m):
-                if node.kind == JOIN or (
-                    node.rep is not None and node.rep.has_edge(i, j)
-                ):
-                    edges.extend(
-                        (u, v)
-                        for u in node.children[i].module
-                        for v in node.children[j].module
-                    )
-    return Graph(t.graph.n, edges)
+        if node.kind in (JOIN, PRIME):
+            rep = node.rep or complete_graph(len(node.children))
+            mods = [sum(1 << v for v in c.module) for c in node.children]
+            for child, hmask in zip(node.children, rep.neighbor_masks()):
+                cross = sum(mods[j] for j in _bits(hmask))
+                for v in child.module:
+                    masks[v] |= cross
+    return Graph._from_masks(t.graph.n, tuple(masks))

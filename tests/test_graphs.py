@@ -32,6 +32,14 @@ def test_graph_rejects_bad_input():
         Graph(3, [(0, 3)])
 
 
+def _seeded_edge_lists(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        n = rng.randint(0, 12)
+        p = rng.random()
+        yield rng, n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+
+
 def test_graph_canonical_storage():
     g = Graph(4, [(2, 1), (1, 2), (0, 3)])
     assert g.edges == ((0, 3), (1, 2))
@@ -39,6 +47,37 @@ def test_graph_canonical_storage():
     assert g.has_edge(1, 2) and g.has_edge(2, 1)
     assert not g.has_edge(0, 1)
     assert g.degree(0) == 1
+
+
+def test_graph_views_match_an_edge_list_reference():
+    for rng, n, edges in _seeded_edge_lists(61):
+        g = Graph(n, edges)
+        adj = [sorted({v for e in edges if u in e for v in e if v != u}) for u in range(n)]
+        assert g.edges == g.edges == tuple(edges)
+        assert g.adj == tuple(map(tuple, adj))
+        assert g.m == len(edges)
+        assert [g.degree(v) for v in range(n)] == list(map(len, adj))
+        for u, v in itertools.product(range(n), repeat=2):
+            assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
+        shuffled = rng.sample(edges, len(edges))
+        duplicated = edges + rng.sample(edges, len(edges) // 2)
+        for variant in (shuffled, [(v, u) for u, v in edges], duplicated):
+            h = Graph(n, variant)
+            assert h == g and hash(h) == hash(g)
+            assert h.edges == g.edges
+
+
+def test_induced_subgraph_matches_an_edge_scan():
+    for rng, n, edges in _seeded_edge_lists(62):
+        g = Graph(n, edges)
+        vertices = [rng.randrange(n) for _ in range(n)] if n else []
+        chosen = sorted(set(vertices))
+        index = {old: new for new, old in enumerate(chosen)}
+        sub, idx = induced_subgraph(g, vertices)
+        assert idx == index and sub.n == len(chosen)
+        assert sub.edges == tuple(
+            (index[u], index[v]) for u, v in edges if u in index and v in index
+        )
 
 
 def test_induced_subgraph_nonadjacent_pair():
@@ -82,6 +121,11 @@ def test_union_and_sum_alpha_identities():
     for _ in range(25):
         g1 = random_graph(rng, rng.randint(1, 5), rng.random())
         g2 = random_graph(rng, rng.randint(1, 5), rng.random())
+        off = g1.n
+        union = list(g1.edges) + [(u + off, v + off) for u, v in g2.edges]
+        cross = [(u, v + off) for u in range(g1.n) for v in range(g2.n)]
+        assert disjoint_union(g1, g2).edges == tuple(sorted(union))
+        assert complete_sum(g1, g2).edges == tuple(sorted(union + cross))
         assert bf_alpha(disjoint_union(g1, g2)) == bf_alpha(g1) + bf_alpha(g2)
         assert bf_alpha(complete_sum(g1, g2)) == max(bf_alpha(g1), bf_alpha(g2))
 
@@ -108,11 +152,15 @@ def test_substitute_arity_mismatch():
 
 def test_substitute_parts_are_modules():
     rng = random.Random(6)
-    h = random_graph(rng, 4, 0.5)
-    parts = [random_graph(rng, rng.randint(1, 3), 0.5) for _ in range(4)]
-    g, bounds = substitute(h, parts)
-    for b in bounds:
-        assert verify_module(g, b)
+    for trial in range(10):
+        h = random_graph(rng, 4 if trial == 0 else rng.randint(1, 5), 0.5)
+        parts = [random_graph(rng, rng.randint(1, 3), 0.5) for _ in range(h.n)]
+        g, bounds = substitute(h, parts)
+        for b in bounds:
+            assert verify_module(g, b)
+        edges = [(b[u], b[v]) for b, p in zip(bounds, parts) for u, v in p.edges]
+        edges += [(u, v) for i, j in h.edges for u in bounds[i] for v in bounds[j]]
+        assert g.edges == tuple(sorted(edges))
 
 
 def test_complete_multipartite_basic():

@@ -29,7 +29,7 @@ BOTTOM_JSON = json.dumps(
 
 def test_edge_list_roundtrip():
     doc = parse_graph_text(P4_TEXT)
-    assert doc.to_graph() == p4()
+    assert doc.graph == p4()
     assert serialize_graph_document(doc) == P4_TEXT
 
 
@@ -46,7 +46,7 @@ def test_edge_list_errors_carry_line_numbers():
 
 def test_json_document():
     doc = parse_graph_text(BOTTOM_JSON)
-    assert doc.to_graph() == fig1_bottom()
+    assert doc.graph == fig1_bottom()
     assert doc.names == ("a", "b", "c", "d")
     again = parse_graph_text(serialize_graph_document(doc))
     assert again == doc
@@ -88,6 +88,77 @@ def test_format_dot():
     dot = format_dot(g, Partition(2, (1, 1, 2, 2)), names=list("abcd"))
     assert "0 -- 1;" in dot
     assert 'label="a"' in dot
+
+
+PARSER_ERRORS = {
+    "duplicate-header": ("p 2 0\np 2 0\n", "line 2: duplicate header"),
+    "header-shape": ("p 2\n", "line 1: header must be `p n m`"),
+    "header-numbers": ("p x 0\n", "line 1: bad header numbers"),
+    "edge-before-header": ("c x\ne 0 1\n", "line 2: edge before `p` header"),
+    "edge-shape": ("p 2 1\ne 0\n", "line 2: edge must be `e u v`"),
+    "edge-endpoints": ("p 2 1\ne 0 x\n", "line 2: bad edge endpoints"),
+    "endpoint-above": ("p 2 1\ne 0 2\n", "line 2: endpoint out of range 0..1"),
+    "endpoint-negative": ("p 3 1\ne 0 -1\n", "line 2: endpoint out of range 0..2"),
+    "self-loop": ("p 2 1\ne 1 1\n", "line 2: self-loop at 1"),
+    "unrecognized": ("x nonsense\n", "line 1: unrecognized line 'x nonsense'"),
+    "missing-header": ("c only\n", "missing `p n m` header line"),
+    "count-with-duplicates": (
+        "p 3 3\ne 0 1\ne 1 0\ne 1 2\n",
+        "header declares 3 edges, found 2 distinct",
+    ),
+    "negative-n": ("p -1 0\n", "vertex count must be non-negative, got -1"),
+    "json-syntax": (
+        "{broken json",
+        "line 1, column 2: invalid JSON "
+        "(Expecting property name enclosed in double quotes)",
+    ),
+    "json-format": ('{"format": "x", "n": 1, "edges": []}', "unsupported format tag 'x'"),
+    "json-fields": ('{"n": 2}', "JSON graph document needs `n` and `edges`"),
+    "json-n-type": ('{"n": true, "edges": []}', "`n` must be an integer, got true"),
+    "json-n-negative": ('{"n": -1, "edges": []}', "`n` must be non-negative, got -1"),
+    "json-edges-type": ('{"n": 2, "edges": 5}', "`edges` must be a list, got 5"),
+    "json-pair-shape": ('{"n": 2, "edges": [[0]]}', "`edges[0]` must be a list of 2, got [0]"),
+    "json-endpoint-type": (
+        '{"n": 2, "edges": [[0, "a"]]}',
+        '`edges[0][1]` must be an integer, got "a"',
+    ),
+    "json-endpoint-range": ('{"n": 2, "edges": [[0, 2]]}', "`edges[0]`: bad edge (0, 2) for n=2"),
+    "json-self-loop": ('{"n": 2, "edges": [[1, 1]]}', "`edges[0]`: bad edge (1, 1) for n=2"),
+    "json-names-type": ('{"n": 2, "edges": [], "names": "ab"}', '`names` must be a list, got "ab"'),
+    "json-name-type": (
+        '{"n": 2, "edges": [], "names": ["a", 1]}',
+        "`names[1]` must be a string, got 1",
+    ),
+    "json-names-bijection": (
+        '{"n": 2, "edges": [], "names": ["a", "a"]}',
+        "names must biject with vertices",
+    ),
+    "json-parts-type": ('{"n": 2, "edges": [], "parts": 2}', "`parts` must be a list, got 2"),
+    "json-part-type": (
+        '{"n": 2, "edges": [], "parts": [1.5]}',
+        "`parts[0]` must be an integer, got 1.5",
+    ),
+    "json-parts-sum": (
+        '{"n": 2, "edges": [], "parts": [1, 2]}',
+        "parts must be positive and sum to n",
+    ),
+    "json-long-excerpt": (
+        '{"n": 2, "edges": [[0, "' + "x" * 60 + '"]]}',
+        '`edges[0][1]` must be an integer, got "' + "x" * 36 + "...",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "text, message", PARSER_ERRORS.values(), ids=list(PARSER_ERRORS)
+)
+def test_cli_parser_errors_are_pinned(tmp_path, capsys, text, message):
+    f = tmp_path / "bad.txt"
+    f.write_text(text)
+    assert main(["test", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_cli_test_command(tmp_path, capsys):
@@ -186,8 +257,10 @@ def test_cli_pv_theta_rational_and_float(tmp_path, capsys):
         ("7" * 501, []),  # exact values of more digits than Python prints
         ("1e5000", []),  # theta itself has 5001 digits
         ("1e5000", ["--float"]),  # theta overflows a float
+        ("1e100000", []),  # refused before Fraction() reads it
+        ("1e10000000", []),
     ],
-    ids=["501-digits", "1e5000", "1e5000-float"],
+    ids=["501-digits", "1e5000", "1e5000-float", "1e100000", "1e10000000"],
 )
 def test_cli_pv_unprintable_values_print_nothing(tmp_path, capsys, theta, flags):
     f = tmp_path / "g25.txt"
@@ -230,7 +303,7 @@ def test_cli_gen_roundtrip(capsys):
     assert main(["gen", "multipartite-extremal", "--k", "3"]) == 0
     text = capsys.readouterr().out
     doc = parse_graph_text(text)
-    assert doc.n == 15
+    assert doc.graph.n == 15
     assert serialize_graph_document(doc) == text
 
 
@@ -238,16 +311,16 @@ def test_cli_gen_json_parts(capsys):
     assert main(["gen", "multipartite", "--sizes", "2,3,4,7,9", "--json"]) == 0
     doc = parse_graph_text(capsys.readouterr().out)
     assert doc.parts == (2, 3, 4, 7, 9)
-    assert doc.n == 25
+    assert doc.graph.n == 25
 
 
 def test_cli_gen_interval_and_hardness(tmp_path, capsys):
     assert main(["gen", "interval-extremal", "--k", "1"]) == 0
-    assert parse_graph_text(capsys.readouterr().out).n == 1
+    assert parse_graph_text(capsys.readouterr().out).graph.n == 1
     base = tmp_path / "p4.txt"
     base.write_text(P4_TEXT)
     assert main(["gen", "hardness", "--input", str(base), "--k", "2"]) == 0
-    assert parse_graph_text(capsys.readouterr().out).n == 13
+    assert parse_graph_text(capsys.readouterr().out).graph.n == 13
 
 
 def test_cli_decompose(tmp_path, capsys):
