@@ -112,19 +112,34 @@ PARSER_ERRORS = {
         "line 1, column 2: invalid JSON "
         "(Expecting property name enclosed in double quotes)",
     ),
-    "json-format": ('{"format": "x", "n": 1, "edges": []}', "unsupported format tag 'x'"),
+    "json-format": (
+        '{"format": "x", "n": 1, "edges": []}',
+        "unsupported format tag 'x'",
+    ),
     "json-fields": ('{"n": 2}', "JSON graph document needs `n` and `edges`"),
     "json-n-type": ('{"n": true, "edges": []}', "`n` must be an integer, got true"),
     "json-n-negative": ('{"n": -1, "edges": []}', "`n` must be non-negative, got -1"),
     "json-edges-type": ('{"n": 2, "edges": 5}', "`edges` must be a list, got 5"),
-    "json-pair-shape": ('{"n": 2, "edges": [[0]]}', "`edges[0]` must be a list of 2, got [0]"),
+    "json-pair-shape": (
+        '{"n": 2, "edges": [[0]]}',
+        "`edges[0]` must be a list of 2, got [0]",
+    ),
     "json-endpoint-type": (
         '{"n": 2, "edges": [[0, "a"]]}',
         '`edges[0][1]` must be an integer, got "a"',
     ),
-    "json-endpoint-range": ('{"n": 2, "edges": [[0, 2]]}', "`edges[0]`: bad edge (0, 2) for n=2"),
-    "json-self-loop": ('{"n": 2, "edges": [[1, 1]]}', "`edges[0]`: bad edge (1, 1) for n=2"),
-    "json-names-type": ('{"n": 2, "edges": [], "names": "ab"}', '`names` must be a list, got "ab"'),
+    "json-endpoint-range": (
+        '{"n": 2, "edges": [[0, 2]]}',
+        "`edges[0]`: bad edge (0, 2) for n=2",
+    ),
+    "json-self-loop": (
+        '{"n": 2, "edges": [[1, 1]]}',
+        "`edges[0]`: bad edge (1, 1) for n=2",
+    ),
+    "json-names-type": (
+        '{"n": 2, "edges": [], "names": "ab"}',
+        '`names` must be a list, got "ab"',
+    ),
     "json-name-type": (
         '{"n": 2, "edges": [], "names": ["a", 1]}',
         "`names[1]` must be a string, got 1",
@@ -133,7 +148,10 @@ PARSER_ERRORS = {
         '{"n": 2, "edges": [], "names": ["a", "a"]}',
         "names must biject with vertices",
     ),
-    "json-parts-type": ('{"n": 2, "edges": [], "parts": 2}', "`parts` must be a list, got 2"),
+    "json-parts-type": (
+        '{"n": 2, "edges": [], "parts": 2}',
+        "`parts` must be a list, got 2",
+    ),
     "json-part-type": (
         '{"n": 2, "edges": [], "parts": [1.5]}',
         "`parts[0]` must be an integer, got 1.5",
@@ -270,6 +288,16 @@ def test_cli_pv_unprintable_values_print_nothing(tmp_path, capsys, theta, flags)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert theta in captured.err
+
+
+def test_cli_pv_unprintable_negative_theta(tmp_path, capsys):
+    # the "theta must be positive" message cannot print this theta either
+    f = tmp_path / "p4.txt"
+    f.write_text(P4_TEXT)
+    assert main(["pv", str(f), "--theta=-1e4300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'-1e4300' a value is too large to print" in captured.err
 
 
 @pytest.mark.parametrize("theta", ["1_0", "\uff11", "1\u0660"])
