@@ -28,9 +28,9 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
     The only state is one neighbour bitmask per vertex: bit v of mask u is
-    set iff u and v are adjacent. `edges` is derived on first read and
-    kept, `adj`, `m` and `degree` on every read. Instances are immutable,
-    so graphs are safe to share across threads.
+    set iff u and v are adjacent. `edges` is derived once and cached;
+    `adj`, `m` and `degree` are derived on each read. Instances are
+    immutable, so graphs are safe to share across threads.
     """
 
     __slots__ = ("n", "_masks", "_edges")
