@@ -11,6 +11,11 @@ one side is 0); prime nodes enumerate child tuple combinations and keep
 those whose per-color weighted representative graphs are 1-extendable.
 The minimum k with a non-empty root set is the number of channels needed
 so that no vertex starves, and witnesses rebuild a concrete partition.
+That needs one tuple of the root, the least, so at a prime root
+`chi_1ext` does not enumerate the product: it searches the combinations
+depth first for the least feasible tuple, pruning every branch whose
+per-color weighted alphas so far are already lexicographically at least
+the best tuple found.
 The one program serves cographs and general graphs alike. It fills the
 node sets bottom-up and rebuilds top-down from a work list, so neither
 walk is bounded by the interpreter's recursion limit.
@@ -45,6 +50,7 @@ from .errors import InputError, ResourceLimitError
 from .graphs import Graph, VertexSet, induced_subgraph
 from .independent_sets import (
     _cover,
+    _heaviest,
     alpha,
     is_1ext_oracle,
     maximum_independent_set,
@@ -129,7 +135,6 @@ class FeasibleTupleSet:
         self.witness = witness
         self.tuples: tuple[Tuple, ...] = tuple(witness)
         self.top = top
-        self._dp: "_TupleDP | None" = None
 
     def __len__(self) -> int:
         return len(self.tuples)
@@ -274,6 +279,62 @@ def _join_witness(
     raise AssertionError(f"no join witness for {tup}")
 
 
+def _support(weights: Tuple) -> int:
+    return sum(1 << j for j, a in enumerate(weights) if a)
+
+
+class _PrimeColors:
+    """Per-color questions at one prime node. A color's answers depend
+    only on the weight each child contributes to it (0: none), so they
+    are memoized on that weight vector across combinations."""
+
+    def __init__(self, node: MDNode):
+        assert node.rep is not None
+        self.nbr = node.rep.neighbor_masks()
+        self.checked: dict[Tuple, tuple[int, bool]] = {}
+        self.compared: dict[tuple[Tuple, int], int] = {}
+
+    def tuple_of(self, combo) -> Tuple | None:
+        """The tuple a combination of child tuples yields, or None when
+        some color's weighted representative graph on its contributing
+        children is not 1-extendable."""
+        checked, out = self.checked, []
+        for weights in zip(*combo):
+            cached = checked.get(weights)
+            if cached is None:
+                sub = _support(weights)
+                weight, covered = _cover(sub, self.nbr, weights, until_miss=True)
+                cached = checked[weights] = (weight, covered == sub)
+            a_i, good = cached
+            if not good:
+                return None
+            out.append(a_i)
+        return tuple(out)
+
+    def bound_below(self, prefix, best: Tuple) -> bool:
+        """Whether the colors' weighted alphas over a prefix of the
+        children, which bound the tuple of every completion from below,
+        are lexicographically below `best`. Color i is weighed only when
+        colors 0..i-1 tie with `best`, and only as far as telling its
+        alpha below, at or above best[i]."""
+        compared, nbr = self.compared, self.nbr
+        for weights, b in zip(zip(*prefix), best):
+            # a child adding no weight leaves alpha as it was, so its
+            # prefix shares the entry of the shorter one
+            end = len(weights)
+            while end and not weights[end - 1]:
+                end -= 1
+            key = (weights[:end], b)
+            a = compared.get(key)
+            if a is None:
+                # below b it reads b - 1, above b at least b + 1
+                a = _heaviest(_support(weights), nbr, weights, b - 1, b + 1)[0]
+                compared[key] = a
+            if a != b:
+                return a < b
+        return False
+
+
 class _TupleDP:
     """Feasible-tuple dynamic program over a modular decomposition tree,
     retaining per-node sets and fold intermediates so a witness tuple can
@@ -287,17 +348,21 @@ class _TupleDP:
         self.chain: dict[MDNode, list[FeasibleTupleSet]] = {}
         self.leaf = self._leaf_set()  # shared by every leaf of the tree
 
-    def run(self) -> FeasibleTupleSet:
-        for node in self.tree.root.bottom_up():
+    def run(self, least: bool = False) -> FeasibleTupleSet:
+        """The root's feasible set; with `least`, a prime root's set holds
+        only its least tuple, which is all `chi_1ext` reads."""
+        root = self.tree.root
+        for node in root.bottom_up():
             if node.kind == LEAF:
                 self.final[node] = self.leaf
             elif node.kind == PRIME:
-                self.final[node] = self._prime_set(node)
+                if least and node is root:
+                    self.final[node] = self._least_prime_set(node)
+                else:
+                    self.final[node] = self._prime_set(node)
             else:
                 self.final[node] = self._fold_set(node)
-        fts = self.final[self.tree.root]
-        fts._dp = self
-        return fts
+        return self.final[root]
 
     def _leaf_set(self) -> FeasibleTupleSet:
         k = self.k
@@ -317,39 +382,66 @@ class _TupleDP:
         return partial[-1]
 
     def _prime_set(self, node: MDNode) -> FeasibleTupleSet:
-        assert node.rep is not None
-        k = self.k
         child_sets = [self.final[c] for c in node.children]
         total = math.prod(len(s) for s in child_sets)
         if total > self.budget:
             raise ResourceLimitError(
                 f"prime-node tuple product {total} exceeds budget {self.budget}"
             )
-        nbr = node.rep.neighbor_masks()
-        # per-color feasibility depends only on the weight each child
-        # contributes to the color (0: none), so memoize on that weight
-        # vector across combinations
-        color_memo: dict[Tuple, tuple[int, bool]] = {}
+        colors = _PrimeColors(node)
         out: dict[Tuple, object] = {}
         for combo in itertools.product(*(s.tuples for s in child_sets)):
-            result = []
-            for weights in zip(*combo):
-                cached = color_memo.get(weights)
-                if cached is None:
-                    # the representative graph on the contributing children
-                    sub = sum(1 << j for j, a in enumerate(weights) if a)
-                    weight, covered = _cover(sub, nbr, weights, until_miss=True)
-                    cached = color_memo[weights] = (weight, covered == sub)
-                a_i, good = cached
-                if not good:
-                    break
-                result.append(a_i)
-            else:
-                t = tuple(result)
-                if t not in out:
-                    out[t] = ("prime", combo)
+            t = colors.tuple_of(combo)
+            if t is not None and t not in out:
+                out[t] = ("prime", combo)
         top = max(map(max, out), default=0)
-        return FeasibleTupleSet._result(k, dict(sorted(out.items())), top)
+        return FeasibleTupleSet._result(self.k, dict(sorted(out.items())), top)
+
+    def _least_prime_set(self, node: MDNode) -> FeasibleTupleSet:
+        """The set holding only the least tuple of `_prime_set(node)`, with
+        the same witness: the first combination in product order that
+        yields it.
+
+        Searches the children's tuples depth first in product order. A
+        color's weighted alpha over the children assigned so far bounds
+        its final coordinate from below, since alpha only grows as weight
+        is added, so a branch whose bounds are lexicographically at least
+        the best tuple found cannot improve on it and is pruned. Every
+        combination checked and every branch pruned counts against the
+        budget; they are disjoint parts of the product, so the count
+        never exceeds it."""
+        sets = [self.final[c].tuples for c in node.children]
+        colors = _PrimeColors(node)
+        budget, spent = self.budget, 0
+        best: Tuple | None = None
+        best_combo: tuple[Tuple, ...] = ()
+        combo: list[Tuple] = [()] * len(sets)
+        # stack[d] runs through child d's tuples; combo[d] is its current one
+        stack = [iter(sets[0])]
+        while stack:
+            tup = next(stack[-1], None)
+            if tup is None:
+                stack.pop()
+                continue
+            depth = len(stack) - 1
+            combo[depth] = tup
+            if best is not None and not colors.bound_below(combo[: depth + 1], best):
+                spent += 1
+            elif depth + 1 < len(sets):
+                stack.append(iter(sets[depth + 1]))
+                continue
+            else:
+                spent += 1
+                t = colors.tuple_of(combo)
+                if t is not None and (best is None or t < best):
+                    best, best_combo = t, tuple(combo)
+            if spent > budget:
+                raise ResourceLimitError(
+                    f"prime-node search over {len(sets)} children"
+                    f" exceeds budget {budget}"
+                )
+        witness = {} if best is None else {best: ("prime", best_combo)}
+        return FeasibleTupleSet._result(self.k, witness, max(best or (0,)))
 
     def rebuild(self, tup: Tuple) -> Partition:
         """Expand a root tuple top-down into a colouring: each node hands
@@ -408,6 +500,14 @@ def chi_1ext(
     Searches k = 1, 2, ... up to min(alpha, ceil(2*sqrt(n)), and the log
     bound on cographs), all proven upper bounds, so the search always
     succeeds; returns None only when a user-supplied max_k cuts it off.
+    The certificate is the rebuild of the least feasible root tuple of
+    `feasible_tuples_mw` through its first witness. At a prime root that
+    tuple comes from a depth-first search of the children's tuple
+    combinations instead of the full root set; there `product_budget`
+    bounds the combinations checked plus the branches pruned, a part of
+    the product, for each k. A prime node below the root still builds its
+    full set and refuses a product over the budget before starting.
+    Raises ResourceLimitError when the budget runs out.
     """
     if g.n == 0:
         return 0, Partition(0, ())
@@ -420,10 +520,10 @@ def chi_1ext(
     if capped:
         bound = max_k
     for k in range(1, bound + 1):
-        fts = feasible_tuples_mw(g, tree, k, product_budget=product_budget)
+        dp = _TupleDP(tree, k, product_budget)
+        fts = dp.run(least=True)
         if fts:
-            assert fts._dp is not None
-            return k, fts._dp.rebuild(fts.tuples[0])
+            return k, dp.rebuild(fts.tuples[0])
     if capped:
         return None
     raise AssertionError("no feasible partition within proven upper bounds")

@@ -8,6 +8,7 @@ from extpart import (
     Graph,
     InputError,
     Partition,
+    ResourceLimitError,
     alpha,
     chi_1ext,
     complete_graph,
@@ -29,7 +30,13 @@ from extpart import (
     tuple_sum,
     verify_partition,
 )
-from extpart.partition import FeasibleTupleSet, _join_witness, _sum_witness
+from extpart.partition import (
+    DEFAULT_PRODUCT_BUDGET,
+    FeasibleTupleSet,
+    _join_witness,
+    _sum_witness,
+    _TupleDP,
+)
 from bruteforce import (
     bf_chi_1ext,
     bf_chromatic,
@@ -256,6 +263,69 @@ def test_chi_colorings_on_prime_graphs_are_pinned():
         got_k, part = chi_1ext(g)
         assert (got_k, "".join(map(str, part.color))) == (k, colors)
         assert verify_partition(g, part)
+
+
+def _full_set_chi(g, max_k):
+    """chi_1ext spelled out through the full root sets that
+    feasible_tuples_mw returns: the least k whose set is non-empty, with
+    the rebuild of that set's least tuple."""
+    t = decompose(g)
+    for k in range(1, max_k + 1):
+        dp = _TupleDP(t, k, DEFAULT_PRODUCT_BUDGET)
+        fts = dp.run()
+        if fts:
+            return k, dp.rebuild(fts.tuples[0])
+    return None
+
+
+def test_chi_is_the_least_tuple_of_the_full_root_set():
+    # chi_1ext needs one root tuple; whatever it computes, it must name
+    # the least tuple of the full set and rebuild it the same way
+    rng = random.Random(91)
+    graphs = [_random_prime_graph(rng, n, 0.3) for n in range(9, 15) for _ in range(2)]
+    for _ in range(18):
+        n = rng.randint(4, 6)
+        base = _random_prime_graph(rng, n, 0.5)
+        parts = [random_cograph(rng, rng.randint(1, 4)) for _ in range(n)]
+        graphs.append(substitute(base, parts)[0])
+    chis = []
+    for g in graphs:
+        assert decompose(g).root.kind == "prime"
+        got = chi_1ext(g)
+        assert got == _full_set_chi(g, got[0])
+        chis.append(got[0])
+    assert chis.count(3) == 3 and chis.count(2) == 27
+    g = graphs[chis.index(3)]
+    assert chi_1ext(g, max_k=2) is None
+    assert _full_set_chi(g, 2) is None
+
+
+@pytest.mark.parametrize("budget", [0, 1, 50])
+def test_product_budget(budget):
+    g = _random_prime_graph(random.Random(1016), 16, 0.3)
+    with pytest.raises(
+        ResourceLimitError, match=rf" 16 children exceeds budget {budget}$"
+    ):
+        chi_1ext(g, product_budget=budget)
+    # the full set is refused before any combination is checked
+    with pytest.raises(
+        ResourceLimitError,
+        match=rf"^prime-node tuple product {2**16} exceeds budget {budget}$",
+    ):
+        feasible_tuples_mw(g, decompose(g), 2, product_budget=budget)
+
+
+def test_chi_answers_a_prime_root_whose_product_exceeds_the_budget():
+    g = _random_prime_graph(random.Random(1024), 24, 0.3)
+    assert 2**24 > DEFAULT_PRODUCT_BUDGET
+    with pytest.raises(ResourceLimitError):
+        feasible_tuples_mw(g, decompose(g), 2)
+    k, part = chi_1ext(g)
+    assert k == 2
+    assert verify_partition(g, part)
+    # a budget of the full product answers whatever the full set answers
+    g = _random_prime_graph(random.Random(1014), 14, 0.3)
+    assert chi_1ext(g, product_budget=2**14) == _full_set_chi(g, 2)
 
 
 def test_chi_on_independent_sets():
