@@ -28,6 +28,7 @@ from .io import (
     EDGE_LIST,
     ADJACENCY_JSON,
     GraphDocument,
+    _int_fields,
     format_dot,
     format_partition_text,
     format_tree,
@@ -66,12 +67,12 @@ def cmd_test(args: argparse.Namespace) -> int:
     g, doc = _load_graph(args.input)
     method = args.method
     if method in ("auto", "cograph", "mw"):
-        tree = decompose(g) if g.n else None
         if g.n == 0:
             print("1-extendable: yes")
             print("alpha: 0")
             print("method: trivial")
             return 0
+        tree = decompose(g)
         if method == "auto":
             method = "cograph" if is_cograph(tree) else "mw"
         report = is_1ext_cograph(tree) if method == "cograph" else is_1ext_mw(g, tree)
@@ -149,10 +150,12 @@ def cmd_pv(args: argparse.Namespace) -> int:
 
 
 def _parse_sizes(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise InputError(f"bad size list {text!r}") from exc
+    return _int_fields(text.replace(",", " ").split(), f"bad size list {text!r}")
+
+
+def integer(text: str) -> int:
+    """The argparse type of integer options, as strict as the text parsers."""
+    return _int_fields([text], f"bad integer {text!r}")[0]
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -242,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi", help="compute the 1-extendable chromatic number")
     p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--max-k", type=int, default=None)
+    p.add_argument("--max-k", type=integer, default=None)
     p.add_argument("--emit-partition", metavar="PATH", default=None)
     p.add_argument("--dot", metavar="PATH", default=None)
     p.set_defaults(func=cmd_chi)
@@ -268,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
             "hardness",
         ],
     )
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=integer, default=None)
     p.add_argument("--sizes", default=None, help="part sizes, e.g. 2,3,4,7,9")
     p.add_argument("--input", default=None, help="base graph for hardness")
     p.add_argument("--json", action="store_true", help="emit a JSON document")
@@ -280,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("genset", help="solve a generating-set instance")
     p.add_argument("--targets", default=None, help="e.g. '2 3 4 7 9'")
-    p.add_argument("-k", type=int, default=None)
+    p.add_argument("-k", type=integer, default=None)
     p.add_argument(
         "--instance", default="-", help="instance file (`targets:` and `k:` lines)"
     )

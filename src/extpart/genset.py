@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .errors import InputError, ResourceLimitError
 from .graphs import complete_multipartite
+from .io import _int_fields
 from .partition import Partition
 
 DEFAULT_TUPLE_BUDGET = 5_000_000
@@ -166,15 +167,10 @@ def parse_instance_text(text: str) -> GenSetInstance:
         if not line or line.startswith("#"):
             continue
         if line.startswith("targets:"):
-            try:
-                targets = tuple(int(x) for x in line[len("targets:") :].split())
-            except ValueError as exc:
-                raise InputError(f"line {lineno}: bad target list") from exc
+            fields = line[len("targets:") :].split()
+            targets = tuple(_int_fields(fields, f"line {lineno}: bad target list"))
         elif line.startswith("k:"):
-            try:
-                k = int(line[len("k:") :].strip())
-            except ValueError as exc:
-                raise InputError(f"line {lineno}: bad k") from exc
+            (k,) = _int_fields([line[len("k:") :].strip()], f"line {lineno}: bad k")
         else:
             raise InputError(f"line {lineno}: unrecognized line {line!r}")
     if targets is None or k is None:

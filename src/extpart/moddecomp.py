@@ -3,9 +3,11 @@ detection, and weighted representative graphs.
 
 Each vertex set splits by the classical rule: on connected components
 (union node), else on co-connected components (join node); when the
-graph is connected and co-connected the maximal strong modules are
-recovered by closing vertex pairs under splitters, and the quotient on
-them is prime. Polynomial but not linear; fine at desk scale.
+graph is connected and co-connected the quotient on its maximal strong
+modules is prime. Those modules come from one partition refinement
+(Habib, Paul & Viennot, 1999): splitters refine the set without its
+lowest vertex v into the maximal modules that avoid v, and one splitter
+closure per part tells whether the part joins v's module.
 
 Every walk over a tree keeps its pending nodes on an explicit stack,
 the bottom-up ones (building the tree included) through `post_order`,
@@ -84,11 +86,7 @@ class MDTree:
     root: MDNode
 
     def nodes(self) -> Iterator[MDNode]:
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
+        return self.root.bottom_up()
 
 
 def _grow_component(start: int, mask: int, adj_of: Callable[[int], int]) -> int:
@@ -131,33 +129,33 @@ def _smallest_module(nbr: tuple[int, ...], mask: int, seed: int) -> int:
 
 def _maximal_strong_modules(nbr: tuple[int, ...], mask: int) -> list[int]:
     """Partition of a connected, co-connected graph into its maximal
-    strong modules: two vertices share a module iff the smallest module
-    containing both is proper."""
-    vs = list(_bits(mask))
-    parent = {v: v for v in vs}
+    strong modules, ordered by minimum vertex.
 
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for i, u in enumerate(vs):
-        for v in vs[i + 1 :]:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                continue
-            mod = _smallest_module(nbr, mask, (1 << u) | (1 << v))
-            if mod != mask:
-                roots = {find(w) for w in _bits(mod)}
-                keep = min(roots)
-                for r in roots:
-                    parent[r] = keep
-    groups: dict[int, int] = {}
-    for v in vs:
-        r = find(v)
-        groups[r] = groups.get(r, 0) | (1 << v)
-    return [groups[r] for r in sorted(groups)]
+    With v the lowest vertex, refining `mask - v` by splitters yields the
+    maximal modules that avoid v. The quotient is prime, so no union of
+    two or more maximal strong modules is a proper module: every maximal
+    strong module but v's is one of these parts, and a part lies in v's
+    iff the smallest module holding it and v is proper."""
+    v = (mask & -mask).bit_length() - 1
+    parts, pending = [], [mask & ~(1 << v)]
+    while pending:
+        part = pending.pop()
+        # final once no outside vertex sees some but not all of it
+        for w in _bits(mask & ~part if part & (part - 1) else 0):
+            seen = nbr[w] & part
+            if seen and seen != part:
+                pending += [seen, part & ~seen]
+                break
+        else:
+            parts.append(part)
+    own, rest = 1 << v, []
+    for part in parts:
+        mod = _smallest_module(nbr, mask, own | part)
+        if mod != mask:
+            own = mod
+        else:
+            rest.append(part)
+    return sorted([own, *rest], key=lambda c: c & -c)
 
 
 def _split(

@@ -387,25 +387,44 @@ LOOSE_INTEGERS = {"plus": "+1", "underscore": "1_0", "fullwidth": "\uff11"}
 
 
 @pytest.mark.parametrize("token", LOOSE_INTEGERS.values(), ids=list(LOOSE_INTEGERS))
-@pytest.mark.parametrize("where", ["p-line", "e-line", "partition-line"])
+@pytest.mark.parametrize(
+    "where",
+    ["p-line", "e-line", "partition-line", "targets", "instance-line", "sizes", "k-option"],
+)
 def test_cli_rejects_loose_integers(tmp_path, capsys, token, where):
     # int() reads these tokens as 1, 10 and 1, each a valid value below
     graph = tmp_path / "g.txt"
     argv = ["decompose", str(graph)]
+    expect = "line 2:"
     if where == "p-line":
         graph.write_text(f"p {token} 0\n")
-        line = 1
+        expect = "line 1:"
     elif where == "e-line":
         graph.write_text(f"p 11 1\ne 0 {token}\n")
-        line = 2
-    else:
+    elif where == "partition-line":
         graph.write_text("p 2 0\n")
         cert = tmp_path / "cert.txt"
         cert.write_text(f"0 1\n1 {token}\n")
         argv = ["verify", str(graph), str(cert)]
-        line = 2
-    assert main(argv) == 2
-    assert f"line {line}:" in capsys.readouterr().err
+    elif where == "targets":
+        argv = ["genset", "--targets", f"3 {token}", "-k", "2"]
+        expect = "bad size list"
+    elif where == "instance-line":
+        instance = tmp_path / "inst.txt"
+        instance.write_text(f"targets: 3\nk: {token}\n")
+        argv = ["genset", "--instance", str(instance)]
+    elif where == "sizes":
+        argv = ["gen", "multipartite", "--sizes", f"2,{token}"]
+        expect = "bad size list"
+    else:
+        argv = ["genset", "--targets", "3", "-k", token]
+        expect = "invalid integer value"
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses an option value this way
+        code = exc.code
+    assert code == 2
+    assert expect in capsys.readouterr().err
 
 
 def test_cli_decompose_deep_threshold_cograph(tmp_path, capsys):

@@ -108,6 +108,46 @@ def test_all_tree_modules_are_modules():
             assert node.module == tuple(sorted(node.module))
 
 
+def _prime_bases(rng):
+    """P4, C5 and seeded random graphs of 5-7 vertices with no
+    non-trivial module."""
+    bases = [p4(), cycle_graph(5)]
+    while len(bases) < 6:
+        h = random_graph(rng, rng.randint(5, 7), 0.5)
+        if all(len(m) in (1, h.n) for m in bf_modules(h)):
+            bases.append(h)
+    return bases
+
+
+def _substituted(rng, bases, leaves):
+    """A relabelled substitution into one of the prime bases, each part
+    another base or a random cograph of at most `leaves` vertices, and
+    the parts' vertex sets ordered by minimum vertex: the maximal strong
+    modules."""
+    h = rng.choice(bases)
+    parts = [
+        rng.choice(bases) if rng.random() < 0.5 else random_cograph(rng, rng.randint(1, leaves))
+        for _ in range(h.n)
+    ]
+    g, boundaries = substitute(h, parts)
+    perm = rng.sample(range(g.n), g.n)
+    modules = sorted(tuple(sorted(perm[v] for v in b)) for b in boundaries)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]), modules
+
+
+def test_prime_root_children_are_the_substituted_parts():
+    # beyond the exhaustive enumerator's reach: the parts substituted into
+    # a prime graph are the maximal strong modules, whatever the labels
+    rng = random.Random(48)
+    bases = _prime_bases(rng)
+    for _ in range(60):
+        g, modules = _substituted(rng, bases, 8)
+        t = decompose(g)
+        assert t.root.kind == "prime"
+        assert [c.module for c in t.root.children] == modules
+        assert reconstruct(t) == g
+
+
 def test_child_modules_are_strong():
     # strong modules cross no other module: check against the exhaustive
     # module enumerator on small graphs
@@ -118,7 +158,12 @@ def test_child_modules_are_strong():
         Graph(5, [pairs5[i] for i in range(10) if bits & (1 << i)])
         for bits in range(0, 1 << 10, 13)
     ]
-    for g in graphs:
+    substituted = []
+    while len(substituted) < 8:
+        g, _ = _substituted(rng, [p4(), cycle_graph(5)], 2)
+        if g.n <= 9:
+            substituted.append(g)
+    for g in graphs + substituted:
         mods = bf_modules(g)
         t = decompose(g)
         for node in t.nodes():
