@@ -246,3 +246,43 @@ def _ref_assign(node, tup, witnesses: dict, colors: list[int]) -> None:
         tup, right = chain[i][tup]
         _ref_assign(node.children[i], right, witnesses, colors)
     _ref_assign(node.children[0], tup, witnesses, colors)
+
+
+def ref_prime_set(rep: Graph, child_sets) -> dict[tuple[int, ...], tuple]:
+    """The feasible set of a prime node with representative `rep`, vertex
+    i standing for child i, whose children hold the sorted tuple lists
+    `child_sets`. Runs the full product of one tuple per child: colour c
+    weighs each child by its c-th coordinate, and the combination yields
+    the colours' maximum weights when, for every colour, each child of
+    positive weight lies in some independent set of that weight. Maps
+    each tuple, in sorted order, to the first combination in product
+    order that yields it. Weights are non-negative, so the maximal
+    independent sets alone reach every maximum and cover every vertex
+    that some maximum-weight set holds."""
+    independent = [
+        s
+        for s in bf_independent_sets(rep)
+        if all(not is_independent(rep, (*s, v)) for v in range(rep.n) if v not in s)
+    ]
+    profiles: dict[tuple[int, ...], tuple[int, bool]] = {}
+
+    def profile(weights: tuple[int, ...]) -> tuple[int, bool]:
+        if weights not in profiles:
+            scores = [sum(weights[v] for v in s) for s in independent]
+            best = max(scores)
+            cover = {v for s, w in zip(independent, scores) if w == best for v in s}
+            support = {v for v, a in enumerate(weights) if a}
+            profiles[weights] = (best, support <= cover)
+        return profiles[weights]
+
+    out: dict[tuple[int, ...], tuple] = {}
+    for combo in itertools.product(*child_sets):
+        tup = []
+        for weights in zip(*combo):
+            best, ok = profile(weights)
+            if not ok:
+                break
+            tup.append(best)
+        else:
+            out.setdefault(tuple(tup), combo)
+    return dict(sorted(out.items()))

@@ -13,6 +13,7 @@ from extpart import (
     chi_1ext,
     complete_graph,
     complete_multipartite,
+    complete_sum,
     cycle_graph,
     decompose,
     disjoint_union,
@@ -46,6 +47,7 @@ from bruteforce import (
     random_cograph,
     random_graph,
     ref_chi_cotree,
+    ref_prime_set,
     ref_tuple_join,
     ref_tuple_sum,
 )
@@ -328,6 +330,68 @@ def test_chi_answers_a_prime_root_whose_product_exceeds_the_budget():
     assert chi_1ext(g, product_budget=2**14) == _full_set_chi(g, 2)
 
 
+def _prime_node_graphs():
+    """Seeded graphs with prime nodes at the root and below it, each with
+    the largest k to check: 3, or 2 where 3**12 combinations would take
+    seconds."""
+    rng = random.Random(1101)
+    graphs = [(_random_prime_graph(rng, n, 0.3), 3) for n in (9, 10, 11)]
+    graphs.append((_random_prime_graph(rng, 12, 0.3), 2))
+    for n in (4, 5, 6):
+        base = _random_prime_graph(rng, n, 0.5)
+        parts = [random_cograph(rng, rng.randint(1, 4)) for _ in range(n)]
+        graphs.append((substitute(base, parts)[0], 3))
+    # a prime node below a join root, below a union root, and below a prime
+    prime7, prime6 = _random_prime_graph(rng, 7, 0.5), _random_prime_graph(rng, 6, 0.5)
+    graphs.append((complete_sum(prime7, random_cograph(rng, 5)), 3))
+    graphs.append((disjoint_union(random_cograph(rng, 4), prime6), 3))
+    base = _random_prime_graph(rng, 5, 0.5)
+    parts = [_random_prime_graph(rng, 4, 0.5), *(random_cograph(rng, 2) for _ in range(4))]
+    graphs.append((substitute(base, parts)[0], 3))
+    return graphs
+
+
+def test_prime_sets_match_the_product_reference():
+    # every prime node's set, witnesses included, is the full product's
+    below_root = 0
+    for g, top in _prime_node_graphs():
+        t = decompose(g)
+        for k in range(1, top + 1):
+            dp = _TupleDP(t, k, DEFAULT_PRODUCT_BUDGET)
+            dp.run()
+            for node in t.nodes():
+                if node.kind != "prime":
+                    continue
+                below_root += node is not t.root
+                child_sets = [dp.final[c].tuples for c in node.children]
+                ref = ref_prime_set(node.rep, child_sets)
+                got = dp.final[node]
+                assert got.tuples == tuple(ref)
+                assert got.witness == {tup: ("prime", c) for tup, c in ref.items()}
+    assert below_root == 9
+
+
+def test_chi_colorings_on_hardness_gadgets_are_pinned():
+    # the gadget's prime node sits below a join root, so every pass builds
+    # its full set and the colouring is rebuilt through its witnesses
+    rng = random.Random(1102)
+    primes = [_random_prime_graph(rng, n, 0.5) for n in (8, 9, 10)]
+    gadgets = [gen_hardness_gadget(h, k) for h in primes for k in (2, 3)]
+    pinned = [
+        (2, "1111111122222222222222111"),
+        (2, "111111112222222222222222222222111"),
+        (3, "2221121223333333333333333221"),
+        (3, "2221121223333333333333333333333333221"),
+        (3, "2222222122333333333333333332221"),
+        (3, "22222221223333333333333333333333333332221"),
+    ]
+    for g, (k, colors) in zip(gadgets, pinned, strict=True):
+        assert decompose(g).root.children[0].kind == "prime"
+        got_k, part = chi_1ext(g)
+        assert (got_k, "".join(map(str, part.color))) == (k, colors)
+        assert verify_partition(g, part)
+
+
 def test_chi_on_independent_sets():
     for n in (1, 4, 9):
         k, part = chi_1ext(empty_graph(n))
@@ -539,3 +603,5 @@ def test_union_of_cographs_bound_by_construction():
         combined = Partition(shift, tuple(colors))
         assert verify_partition(g, combined)
         assert combined.k <= len(comps) * (alpha(g).bit_length())
+
+
