@@ -7,15 +7,15 @@ k-tuples: (a_1, ..., a_k) is feasible when the node's module admits a
 numbers (an empty class is encoded as 0). Leaves contribute the unit
 tuples; union nodes combine children by componentwise sums; join nodes
 combine by the zero-tolerant intersection (coordinates must agree unless
-one side is 0); prime nodes enumerate child tuple combinations and keep
-those whose per-color weighted representative graphs are 1-extendable.
+one side is 0); a prime node searches the combinations of one tuple per
+child depth first, in product order, and keeps the tuples of those whose
+per-color weighted representative graphs are 1-extendable.
 The minimum k with a non-empty root set is the number of channels needed
 so that no vertex starves, and witnesses rebuild a concrete partition.
 That needs one tuple of the root, the least, so at a prime root
-`chi_1ext` does not enumerate the product: it searches the combinations
-depth first for the least feasible tuple, pruning every branch whose
-per-color weighted alphas so far are already lexicographically at least
-the best tuple found.
+`chi_1ext` runs the same search for the least tuple alone, pruning every
+branch whose per-color weighted alphas so far are already
+lexicographically at least the best tuple found.
 The one program serves cographs and general graphs alike. It fills the
 node sets bottom-up and rebuilds top-down from a work list, so neither
 walk is bounded by the interpreter's recursion limit.
@@ -356,10 +356,7 @@ class _TupleDP:
             if node.kind == LEAF:
                 self.final[node] = self.leaf
             elif node.kind == PRIME:
-                if least and node is root:
-                    self.final[node] = self._least_prime_set(node)
-                else:
-                    self.final[node] = self._prime_set(node)
+                self.final[node] = self._prime_set(node, least and node is root)
             else:
                 self.final[node] = self._fold_set(node)
         return self.final[root]
@@ -381,43 +378,35 @@ class _TupleDP:
         self.chain[node] = partial
         return partial[-1]
 
-    def _prime_set(self, node: MDNode) -> FeasibleTupleSet:
-        child_sets = [self.final[c] for c in node.children]
-        total = math.prod(len(s) for s in child_sets)
-        if total > self.budget:
-            raise ResourceLimitError(
-                f"prime-node tuple product {total} exceeds budget {self.budget}"
-            )
-        colors = _PrimeColors(node)
-        out: dict[Tuple, object] = {}
-        for combo in itertools.product(*(s.tuples for s in child_sets)):
-            t = colors.tuple_of(combo)
-            if t is not None and t not in out:
-                out[t] = ("prime", combo)
-        top = max(map(max, out), default=0)
-        return FeasibleTupleSet._result(self.k, dict(sorted(out.items())), top)
+    def _prime_set(self, node: MDNode, least: bool) -> FeasibleTupleSet:
+        """Every tuple that a combination of one tuple per child yields,
+        with its witness, the first such combination in product order; with
+        `least`, only the least of them.
 
-    def _least_prime_set(self, node: MDNode) -> FeasibleTupleSet:
-        """The set holding only the least tuple of `_prime_set(node)`, with
-        the same witness: the first combination in product order that
-        yields it.
-
-        Searches the children's tuples depth first in product order. A
-        color's weighted alpha over the children assigned so far bounds
-        its final coordinate from below, since alpha only grows as weight
-        is added, so a branch whose bounds are lexicographically at least
-        the best tuple found cannot improve on it and is pruned. Every
-        combination checked and every branch pruned counts against the
-        budget; they are disjoint parts of the product, so the count
-        never exceeds it."""
-        sets = [self.final[c].tuples for c in node.children]
+        Searches the combinations depth first in product order, the last
+        child's tuples in a plain loop. The full set checks every
+        combination, so it refuses a product over the budget up front. The
+        least search records only strict improvements on the best tuple
+        found, and prunes every branch whose colors' weighted alphas so
+        far, lower bounds on the final coordinates since alpha only grows
+        as weight is added, are already lexicographically at least it.
+        There every combination reached and every branch pruned counts
+        against the budget: disjoint parts of the product."""
+        *outer, inner = sets = [self.final[c].tuples for c in node.children]
+        budget = self.budget
+        if not least:
+            total = math.prod(map(len, sets))
+            if total > budget:
+                raise ResourceLimitError(
+                    f"prime-node tuple product {total} exceeds budget {budget}"
+                )
         colors = _PrimeColors(node)
-        budget, spent = self.budget, 0
-        best: Tuple | None = None
-        best_combo: tuple[Tuple, ...] = ()
+        found: dict[Tuple, object] = {}
+        best: Tuple | None = None  # set by the least search only
+        spent = 0
         combo: list[Tuple] = [()] * len(sets)
         # stack[d] runs through child d's tuples; combo[d] is its current one
-        stack = [iter(sets[0])]
+        stack = [iter(outer[0])]
         while stack:
             tup = next(stack[-1], None)
             if tup is None:
@@ -427,21 +416,27 @@ class _TupleDP:
             combo[depth] = tup
             if best is not None and not colors.bound_below(combo[: depth + 1], best):
                 spent += 1
-            elif depth + 1 < len(sets):
-                stack.append(iter(sets[depth + 1]))
+            elif depth + 1 < len(outer):
+                stack.append(iter(outer[depth + 1]))
                 continue
             else:
-                spent += 1
-                t = colors.tuple_of(combo)
-                if t is not None and (best is None or t < best):
-                    best, best_combo = t, tuple(combo)
+                spent += len(inner)
+                for last in inner:
+                    combo[-1] = last
+                    if best is not None and not colors.bound_below(combo, best):
+                        continue
+                    t = colors.tuple_of(combo)
+                    if t is not None and t not in found and (best is None or t < best):
+                        if least:
+                            best, found = t, {}
+                        found[t] = ("prime", tuple(combo))
             if spent > budget:
                 raise ResourceLimitError(
                     f"prime-node search over {len(sets)} children"
                     f" exceeds budget {budget}"
                 )
-        witness = {} if best is None else {best: ("prime", best_combo)}
-        return FeasibleTupleSet._result(self.k, witness, max(best or (0,)))
+        top = max(map(max, found), default=0)
+        return FeasibleTupleSet._result(self.k, dict(sorted(found.items())), top)
 
     def rebuild(self, tup: Tuple) -> Partition:
         """Expand a root tuple top-down into a colouring: each node hands
@@ -477,7 +472,10 @@ def feasible_tuples_mw(
     product_budget: int = DEFAULT_PRODUCT_BUDGET,
 ) -> FeasibleTupleSet:
     """Feasible k-tuples of g via its modular decomposition; non-empty iff
-    g splits into k induced 1-extendable subgraphs."""
+    g splits into k induced 1-extendable subgraphs. Every prime node
+    checks each combination of one tuple per child, so a product of its
+    children's set sizes over `product_budget` raises ResourceLimitError
+    before the node's search starts."""
     if k < 1:
         raise InputError(f"class count k must be at least 1, got {k}")
     _check_tree(g, t)
@@ -501,12 +499,12 @@ def chi_1ext(
     bound on cographs), all proven upper bounds, so the search always
     succeeds; returns None only when a user-supplied max_k cuts it off.
     The certificate is the rebuild of the least feasible root tuple of
-    `feasible_tuples_mw` through its first witness. At a prime root that
-    tuple comes from a depth-first search of the children's tuple
-    combinations instead of the full root set; there `product_budget`
-    bounds the combinations checked plus the branches pruned, a part of
-    the product, for each k. A prime node below the root still builds its
-    full set and refuses a product over the budget before starting.
+    `feasible_tuples_mw` through its first witness. Every prime node runs
+    one depth-first search over its children's tuple combinations. Below
+    the root it builds the full set, refusing a product over
+    `product_budget` before starting; at the root it looks for the least
+    tuple alone and prunes, and the budget bounds the combinations
+    reached plus the branches pruned, a part of the product, for each k.
     Raises ResourceLimitError when the budget runs out.
     """
     if g.n == 0:
