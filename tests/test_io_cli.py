@@ -267,6 +267,9 @@ def test_cli_pv_theta_rational_and_float(tmp_path, capsys):
     assert "1/2" in capsys.readouterr().out
     assert main(["pv", str(f), "--theta", "3/2", "--float"]) == 0
     assert "0.6" in capsys.readouterr().out
+    # a float prints a tiny theta as 0; the digit limit still admits this one
+    assert main(["pv", str(f), "--theta", "1e-4000", "--float"]) == 0
+    assert capsys.readouterr().out.startswith("theta: 0\n")
 
 
 @pytest.mark.parametrize(
@@ -277,8 +280,16 @@ def test_cli_pv_theta_rational_and_float(tmp_path, capsys):
         ("1e5000", ["--float"]),  # theta overflows a float
         ("1e100000", []),  # refused before Fraction() reads it
         ("1e10000000", []),
+        ("1e-20000", ["--float"]),  # prints as 0, but the exact work is unbounded
     ],
-    ids=["501-digits", "1e5000", "1e5000-float", "1e100000", "1e10000000"],
+    ids=[
+        "501-digits",
+        "1e5000",
+        "1e5000-float",
+        "1e100000",
+        "1e10000000",
+        "1e-20000-float",
+    ],
 )
 def test_cli_pv_unprintable_values_print_nothing(tmp_path, capsys, theta, flags):
     f = tmp_path / "g25.txt"
