@@ -47,14 +47,13 @@ import struct
 from dataclasses import dataclass
 
 from .errors import InputError, ResourceLimitError
-from .graphs import Graph, VertexSet, induced_subgraph
+from .graphs import Graph, VertexSet, _bits, induced_subgraph
 from .independent_sets import (
     _cover,
     _heaviest,
     alpha,
     is_1ext_oracle,
     maximum_independent_set,
-    mis_covered_vertices,
 )
 from .moddecomp import (
     LEAF,
@@ -534,13 +533,26 @@ def verify_partition(g: Graph, p: Partition) -> bool:
         raise InputError(
             f"partition covers {len(p.color)} vertices, graph has {g.n}"
         )
+    nbr, unit = g.neighbor_masks(), (1,) * g.n
     for cls in p.classes():
-        if not cls:
-            continue
-        sub, _ = induced_subgraph(g, cls)
-        if not is_1ext_oracle(sub):
+        mask = sum(1 << v for v in cls)
+        if _cover(mask, nbr, unit, until_miss=True)[1] != mask:
             return False
     return True
+
+
+def _peel(g: Graph, remaining: int, colors: list[int], c: int) -> int:
+    """Colour the vertices of the mask `remaining` c + 1, c + 2, ... by
+    stripping the vertices in some MIS of what is left, one stratum per
+    colour; returns the last colour used."""
+    nbr, unit = g.neighbor_masks(), (1,) * g.n
+    while remaining:
+        c += 1
+        covered = _cover(remaining, nbr, unit)[1]
+        for v in _bits(covered):
+            colors[v] = c
+        remaining &= ~covered
+    return c
 
 
 def peel_partition(g: Graph) -> Partition:
@@ -548,15 +560,7 @@ def peel_partition(g: Graph) -> Partition:
     residual graph; each stratum is 1-extendable by construction and the
     independence number drops every round, so at most alpha(g) classes."""
     colors = [0] * g.n
-    remaining = list(range(g.n))
-    c = 0
-    while remaining:
-        sub, _ = induced_subgraph(g, remaining)
-        covered = mis_covered_vertices(sub)
-        c += 1
-        for v in covered:
-            colors[remaining[v]] = c
-        remaining = [v for v in remaining if colors[v] == 0]
+    c = _peel(g, (1 << g.n) - 1, colors, 0)
     return Partition(c, tuple(colors))
 
 
@@ -583,12 +587,7 @@ def greedy_sqrt_partition(g: Graph) -> Partition:
         for v in maximum_independent_set(sub):
             colors[remaining[v]] = c
         remaining = [v for v in remaining if colors[v] == 0]
-    if remaining:
-        sub, _ = induced_subgraph(g, remaining)
-        tail = peel_partition(sub)
-        for new, old in enumerate(remaining):
-            colors[old] = c + tail.color[new]
-        c += tail.k
+    c = _peel(g, sum(1 << v for v in remaining), colors, c)
     return Partition(c, tuple(colors))
 
 
