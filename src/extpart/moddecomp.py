@@ -175,6 +175,8 @@ def _split(
         return mask, JOIN, cocomps, None
 
     classes = _maximal_strong_modules(nbr, mask)
+    if len(classes) == g.n:  # all single vertices: the quotient is g itself
+        return mask, PRIME, classes, g
     # ascending, so representative vertex i stands for classes[i]
     reps = [(c & -c).bit_length() - 1 for c in classes]
     return mask, PRIME, classes, induced_subgraph(g, reps)[0]
