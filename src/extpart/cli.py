@@ -118,16 +118,13 @@ def cmd_pv(args: argparse.Namespace) -> int:
     if not text.isascii() or "_" in text:
         raise InputError(f"bad theta {text!r}: ASCII digits only, no underscores")
     # Fraction() builds 10**exponent at any size: refuse an exponent that leaves
-    # more digits than Python prints once the mantissa's digits cancel theirs.
-    # A float prints a tiny theta as 0, but the work is exact, and its cost
-    # grows with the digits of theta
+    # more digits than Python prints once the mantissa's digits cancel theirs
+    # (in float mode too: the work is exact, and its cost grows with them)
     scaled = _SCALED.fullmatch(text)
     limit = sys.get_int_max_str_digits()
     if scaled and len(scaled[3]) <= limit:
         if int(scaled[3]) - len(scaled[1]) > limit:
-            raise InputError(
-                f"at theta {text!r} the exact value has over {limit} digits"
-            )
+            raise InputError(f"theta {text!r} has over {limit} exact digits")
     try:
         theta = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -378,19 +378,15 @@ class _TupleDP:
         return partial[-1]
 
     def _prime_set(self, node: MDNode, least: bool) -> FeasibleTupleSet:
-        """Every tuple that a combination of one tuple per child yields,
-        with its witness, the first such combination in product order; with
-        `least`, only the least of them.
-
-        Searches the combinations depth first in product order, the last
-        child's tuples in a plain loop. The full set checks every
-        combination, so it refuses a product over the budget up front. The
-        least search records only strict improvements on the best tuple
-        found, and prunes every branch whose colors' weighted alphas so
-        far, lower bounds on the final coordinates since alpha only grows
-        as weight is added, are already lexicographically at least it.
-        There every combination reached and every branch pruned counts
-        against the budget: disjoint parts of the product."""
+        """Every tuple some combination of one tuple per child yields, with
+        the first such combination in product order as its witness; with
+        `least`, only the least tuple. Searches depth first in product
+        order, the last child's tuples in a plain loop. The full set refuses
+        a product over the budget up front. The least search prunes each
+        branch whose colors' weighted alphas so far, which only grow as
+        weight is added, are lexicographically at least the best tuple
+        found; each combination reached and each branch pruned counts
+        against the budget."""
         *outer, inner = sets = [self.final[c].tuples for c in node.children]
         budget = self.budget
         if not least:
@@ -471,10 +467,8 @@ def feasible_tuples_mw(
     product_budget: int = DEFAULT_PRODUCT_BUDGET,
 ) -> FeasibleTupleSet:
     """Feasible k-tuples of g via its modular decomposition; non-empty iff
-    g splits into k induced 1-extendable subgraphs. Every prime node
-    checks each combination of one tuple per child, so a product of its
-    children's set sizes over `product_budget` raises ResourceLimitError
-    before the node's search starts."""
+    g splits into k induced 1-extendable subgraphs. A prime node whose
+    tuple product exceeds `product_budget` raises ResourceLimitError."""
     if k < 1:
         raise InputError(f"class count k must be at least 1, got {k}")
     _check_tree(g, t)
@@ -528,7 +522,7 @@ def chi_1ext(
 
 def verify_partition(g: Graph, p: Partition) -> bool:
     """Certificate check: every non-empty class must induce a 1-extendable
-    subgraph (brute-force oracle)."""
+    subgraph (the exact oracle, run on the class's vertex mask of g)."""
     if len(p.color) != g.n:
         raise InputError(
             f"partition covers {len(p.color)} vertices, graph has {g.n}"

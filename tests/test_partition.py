@@ -346,7 +346,8 @@ def _prime_node_graphs():
     graphs.append((complete_sum(prime7, random_cograph(rng, 5)), 3))
     graphs.append((disjoint_union(random_cograph(rng, 4), prime6), 3))
     base = _random_prime_graph(rng, 5, 0.5)
-    parts = [_random_prime_graph(rng, 4, 0.5), *(random_cograph(rng, 2) for _ in range(4))]
+    parts = [_random_prime_graph(rng, 4, 0.5)]
+    parts += [random_cograph(rng, 2) for _ in range(4)]
     graphs.append((substitute(base, parts)[0], 3))
     return graphs
 
