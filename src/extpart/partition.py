@@ -293,22 +293,14 @@ class _PrimeColors:
         self.checked: dict[Tuple, tuple[int, bool]] = {}
         self.compared: dict[tuple[Tuple, int], int] = {}
 
-    def tuple_of(self, combo) -> Tuple | None:
-        """The tuple a combination of child tuples yields, or None when
-        some color's weighted representative graph on its contributing
-        children is not 1-extendable."""
-        checked, out = self.checked, []
-        for weights in zip(*combo):
-            cached = checked.get(weights)
-            if cached is None:
-                sub = _support(weights)
-                weight, covered = _cover(sub, self.nbr, weights, until_miss=True)
-                cached = checked[weights] = (weight, covered == sub)
-            a_i, good = cached
-            if not good:
-                return None
-            out.append(a_i)
-        return tuple(out)
+    def check(self, weights: Tuple) -> tuple[int, bool]:
+        """A color's weighted alpha over the children it weighs, and whether
+        its weighted representative graph on them is 1-extendable; memoized
+        in `checked`."""
+        sub = _support(weights)
+        weight, covered = _cover(sub, self.nbr, weights, until_miss=True)
+        self.checked[weights] = out = (weight, covered == sub)
+        return out
 
     def bound_below(self, prefix, best: Tuple) -> bool:
         """Whether the colors' weighted alphas over a prefix of the
@@ -396,6 +388,7 @@ class _TupleDP:
                     f"prime-node tuple product {total} exceeds budget {budget}"
                 )
         colors = _PrimeColors(node)
+        checked = colors.checked
         found: dict[Tuple, object] = {}
         best: Tuple | None = None  # set by the least search only
         spent = 0
@@ -420,11 +413,19 @@ class _TupleDP:
                     combo[-1] = last
                     if best is not None and not colors.bound_below(combo, best):
                         continue
-                    t = colors.tuple_of(combo)
-                    if t is not None and t not in found and (best is None or t < best):
-                        if least:
-                            best, found = t, {}
-                        found[t] = ("prime", tuple(combo))
+                    # inline, not a method call: this runs once per combination
+                    alphas = []
+                    for weights in zip(*combo):
+                        a_i, good = checked.get(weights) or colors.check(weights)
+                        if not good:
+                            break
+                        alphas.append(a_i)
+                    else:
+                        t = tuple(alphas)
+                        if t not in found and (best is None or t < best):
+                            if least:
+                                best, found = t, {}
+                            found[t] = ("prime", tuple(combo))
             if spent > budget:
                 raise ResourceLimitError(
                     f"prime-node search over {len(sets)} children"
