@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -300,6 +301,40 @@ def test_chi_is_the_least_tuple_of_the_full_root_set():
     g = graphs[chis.index(3)]
     assert chi_1ext(g, max_k=2) is None
     assert _full_set_chi(g, 2) is None
+
+
+def _threshold_cograph(bits):
+    """Vertex v is adjacent to every earlier vertex when bits[v] is 1, to
+    none when it is 0: a cotree that alternates union and join."""
+    return Graph(len(bits), [(u, v) for v, b in enumerate(bits) if b for u in range(v)])
+
+
+def test_chi_on_cographs_is_the_least_tuple_of_the_full_root_set():
+    # union and join roots of 2-5 children, deep alternations, and prime
+    # nodes below a union root: chi_1ext may build less than the full
+    # sets, but must name the same least tuple and rebuild it the same way
+    rng = random.Random(93)
+    graphs = []
+    for op, kind in ((disjoint_union, "union"), (complete_sum, "join")):
+        for width in range(2, 6):
+            for _ in range(4):
+                parts = [random_cograph(rng, rng.randint(2, 12)) for _ in range(width)]
+                g = functools.reduce(op, parts)
+                assert decompose(g).root.kind == kind
+                graphs.append(g)
+    graphs += [_threshold_cograph([v % 2 for v in range(n)]) for n in (9, 12, 17, 24)]
+    graphs += [
+        _threshold_cograph([rng.randint(0, 1) for _ in range(n)])
+        for n in (10, 14, 18, 22)
+    ]
+    prime6, prime7 = _random_prime_graph(rng, 6, 0.5), _random_prime_graph(rng, 7, 0.5)
+    graphs.append(disjoint_union(prime7, random_cograph(rng, 5)))
+    graphs.append(disjoint_union(prime6, disjoint_union(prime7, empty_graph(2))))
+    graphs.append(disjoint_union(random_cograph(rng, 4), complete_sum(prime6, empty_graph(3))))
+    for g in graphs:
+        got = chi_1ext(g)
+        assert got == _full_set_chi(g, got[0])
+        assert verify_partition(g, got[1])
 
 
 @pytest.mark.parametrize("budget", [0, 1, 50])
