@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError
 
@@ -22,6 +22,31 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _grow_component(start: int, mask: int, adj_of: Callable[[int], int]) -> int:
+    comp = 0
+    frontier = 1 << start
+    while frontier:
+        comp |= frontier
+        nxt = 0
+        for v in _bits(frontier):
+            nxt |= adj_of(v)
+        frontier = nxt & mask & ~comp
+    return comp
+
+
+def _split_components(mask: int, adj_of: Callable[[int], int]) -> list[int]:
+    """The connected components of the vertex mask under `adj_of` (a
+    vertex's neighbour mask), ordered by minimum vertex."""
+    comps = []
+    rem = mask
+    while rem:
+        v = (rem & -rem).bit_length() - 1
+        comp = _grow_component(v, mask, adj_of)
+        comps.append(comp)
+        rem &= ~comp
+    return comps
 
 
 class Graph:

@@ -8,7 +8,9 @@ cover, summing the largest weight in each clique. `_cover` finds the
 vertices in some maximum-weight set by covering with witness sets: v is
 covered iff w(v) + w-alpha(G - N[v]) reaches the maximum, and each set
 found covers all its vertices. Neither has a size cap or recurses: the
-search keeps its open branches on a stack. Exact MIS counting,
+search keeps its open branches on a stack. A cover of a whole graph runs
+on each connected component, so the searches for one component's
+vertices never branch over the others. Exact MIS counting,
 enumeration and the CSMA access proportions run behind an explicit cap
 on one memoized independence polynomial per graph, whose degree is
 alpha and whose leading coefficient counts the maximum sets.
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import ResourceLimitError
-from .graphs import Graph, VertexSet, WeightedGraph, _bits
+from .graphs import Graph, VertexSet, WeightedGraph, _bits, _split_components
 
 DEFAULT_COUNT_CAP = 40
 
@@ -135,9 +137,26 @@ def _cover(
     return best, covered
 
 
+def _split_cover(
+    mask: int, nbr: Sequence[int], w: Sequence[int], until_miss: bool = False
+) -> tuple[int, int]:
+    """`_cover` of each connected component of the mask, summed and
+    united: a maximum-weight set is one such set per component. Alone,
+    `_cover` repeats one search over every component per vertex it
+    checks. With `until_miss`, every component stops at its own first
+    miss, so the weight stays exact and the lowest vertex left out of
+    the cover is the lowest vertex in no maximum-weight set."""
+    best = covered = 0
+    for comp in _split_components(mask, nbr.__getitem__):
+        weight, got = _cover(comp, nbr, w, until_miss)
+        best += weight
+        covered |= got
+    return best, covered
+
+
 def _unit_cover(g: Graph, until_miss: bool = False) -> tuple[int, int]:
-    """`_cover` of the whole graph with unit weights: (alpha, covered)."""
-    return _cover((1 << g.n) - 1, g.neighbor_masks(), (1,) * g.n, until_miss)
+    """`_split_cover` of the whole graph with unit weights: (alpha, covered)."""
+    return _split_cover((1 << g.n) - 1, g.neighbor_masks(), (1,) * g.n, until_miss)
 
 
 def alpha(g: Graph) -> int:

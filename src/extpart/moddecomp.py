@@ -27,6 +27,7 @@ from .graphs import (
     VertexSet,
     WeightedGraph,
     _bits,
+    _split_components,
     complete_graph,
     induced_subgraph,
 )
@@ -87,29 +88,6 @@ class MDTree:
 
     def nodes(self) -> Iterator[MDNode]:
         return self.root.bottom_up()
-
-
-def _grow_component(start: int, mask: int, adj_of: Callable[[int], int]) -> int:
-    comp = 0
-    frontier = 1 << start
-    while frontier:
-        comp |= frontier
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= adj_of(v)
-        frontier = nxt & mask & ~comp
-    return comp
-
-
-def _split_components(mask: int, adj_of: Callable[[int], int]) -> list[int]:
-    comps = []
-    rem = mask
-    while rem:
-        v = (rem & -rem).bit_length() - 1
-        comp = _grow_component(v, mask, adj_of)
-        comps.append(comp)
-        rem &= ~comp
-    return comps  # already ordered by minimum vertex
 
 
 def _smallest_module(nbr: tuple[int, ...], mask: int, seed: int) -> int:

@@ -12,10 +12,17 @@ child depth first, in product order, and keeps the tuples of those whose
 per-color weighted representative graphs are 1-extendable.
 The minimum k with a non-empty root set is the number of channels needed
 so that no vertex starves, and witnesses rebuild a concrete partition.
-That needs one tuple of the root, the least, so at a prime root
-`chi_1ext` runs the same search for the least tuple alone, pruning every
-branch whose per-color weighted alphas so far are already
-lexicographically at least the best tuple found.
+That needs one tuple of the root, the least, so `chi_1ext` builds the
+least tuple alone on the lean path: the root, and every node reached
+from it through unions alone. Lexicographic order is translation
+invariant, so a union's least tuple is the sum of its children's least
+tuples. A join is at least each of its operands, so its last fold walks
+one operand in sorted order and stops once no later tuple can do
+better. A prime node runs the same search for the least tuple alone,
+pruning every branch whose per-color weighted alphas so far are already
+lexicographically at least the best tuple found. Rebuilding the least
+tuple reads no other tuple of a lean node, so the certificate is the
+one the full sets give.
 The one program serves cographs and general graphs alike. It fills the
 node sets bottom-up and rebuilds top-down from a work list, so neither
 walk is bounded by the interpreter's recursion limit.
@@ -51,6 +58,7 @@ from .graphs import Graph, VertexSet, _bits, induced_subgraph
 from .independent_sets import (
     _cover,
     _heaviest,
+    _split_cover,
     alpha,
     is_1ext_oracle,
     maximum_independent_set,
@@ -251,6 +259,51 @@ def tuple_join(s1: FeasibleTupleSet, s2: FeasibleTupleSet) -> FeasibleTupleSet:
     return packing.result(out, max(s1.top, s2.top))
 
 
+def _least_join(s1: FeasibleTupleSet, s2: FeasibleTupleSet) -> FeasibleTupleSet:
+    """The least tuple of `tuple_join(s1, s2)` alone, or no tuple when
+    the join is empty. Walks the larger operand's tuples in sorted order
+    and probes the smaller one's zero-pattern groups, each hashed on the
+    common support as in `tuple_join`, for the least compatible partner.
+    A join is at least each of its operands, so the walk stops at the
+    first tuple that is at least the best join found.
+
+    Within one bucket every b agrees with a on a's support, so a | b
+    grows with b: a bucket keeps its least member alone."""
+    packing = _fold_packing(s1, s2)
+    shift, field = packing.shift, packing.field
+    carry, high, pack = packing.nonzero_carry, packing.high, packing.struct.pack
+    small, large = (s1, s2) if len(s1) <= len(s2) else (s2, s1)
+    # per pattern of the smaller operand: its group, and its index per
+    # overlap, built on first use
+    indexed = [
+        (p2, group2, {0: {0: group2[0]}})
+        for p2, group2 in packing.by_pattern(small.tuples).items()
+    ]
+    best = None
+    for t in large.tuples:
+        a = int.from_bytes(pack(*t), "big")
+        if best is not None and a >= best:
+            break
+        p1 = (a + carry) & high
+        for p2, group2, index_by_overlap in indexed:
+            overlap = ((p1 & p2) >> shift) * field
+            index = index_by_overlap.get(overlap)
+            if index is None:
+                index = index_by_overlap[overlap] = {}
+                for b in group2:
+                    index.setdefault(b & overlap, b)
+            b = index.get(a & overlap)
+            if b is not None and (best is None or a | b < best):
+                best = a | b
+    return packing.result(set() if best is None else {best}, max(s1.top, s2.top))
+
+
+def _least(s: FeasibleTupleSet) -> FeasibleTupleSet:
+    """The least tuple of a non-empty set alone, with its witness."""
+    tup = s.tuples[0]
+    return FeasibleTupleSet._result(s.k, {tup: s.witness[tup]}, max(tup))
+
+
 def _sum_witness(
     left: FeasibleTupleSet, right: FeasibleTupleSet, tup: Tuple
 ) -> tuple[Tuple, Tuple]:
@@ -340,16 +393,32 @@ class _TupleDP:
         self.leaf = self._leaf_set()  # shared by every leaf of the tree
 
     def run(self, least: bool = False) -> FeasibleTupleSet:
-        """The root's feasible set; with `least`, a prime root's set holds
-        only its least tuple, which is all `chi_1ext` reads."""
+        """The root's feasible set. With `least`, the root's set holds only
+        its least tuple, which is all `chi_1ext` reads, and the pass stops
+        at the first empty node set, which leaves the root's empty too.
+        The least tuple of a union is the sum of its children's least
+        tuples, so the lean nodes (the root, and every node reached from
+        it through unions alone) build their least tuples only; rebuilding
+        that tuple reaches no other tuple of theirs."""
         root = self.tree.root
+        lean = set()
+        work = [root] if least else []
+        while work:
+            node = work.pop()
+            lean.add(node)
+            if node.kind == UNION:
+                work.extend(node.children)
+        lean_leaf = _least(self.leaf)
         for node in root.bottom_up():
             if node.kind == LEAF:
-                self.final[node] = self.leaf
+                s = lean_leaf if node in lean else self.leaf
             elif node.kind == PRIME:
-                self.final[node] = self._prime_set(node, least and node is root)
+                s = self._prime_set(node, node in lean)
             else:
-                self.final[node] = self._fold_set(node)
+                s = self._fold_set(node, node in lean)
+            self.final[node] = s
+            if least and not s:
+                return s
         return self.final[root]
 
     def _leaf_set(self) -> FeasibleTupleSet:
@@ -360,12 +429,19 @@ class _TupleDP:
             out[e] = ("leaf", i)
         return FeasibleTupleSet._result(k, out, 1)
 
-    def _fold_set(self, node: MDNode) -> FeasibleTupleSet:
+    def _fold_set(self, node: MDNode, lean: bool) -> FeasibleTupleSet:
+        """The fold of the children's sets, left to right, keeping each
+        partial result for `rebuild`. A lean union's children are lean,
+        so it sums their least tuples alone; a lean join's last fold keeps
+        the least tuple alone, which `rebuild` never reads as a left
+        operand."""
         op = tuple_sum if node.kind == UNION else tuple_join
-        sets = [self.final[c] for c in node.children]
+        last = _least_join if lean and op is tuple_join else op
+        *sets, last_set = [self.final[c] for c in node.children]
         partial = [sets[0]]
         for s in sets[1:]:
             partial.append(op(partial[-1], s))
+        partial.append(last(partial[-1], last_set))
         self.chain[node] = partial
         return partial[-1]
 
@@ -493,13 +569,17 @@ def chi_1ext(
     bound on cographs), all proven upper bounds, so the search always
     succeeds; returns None only when a user-supplied max_k cuts it off.
     The certificate is the rebuild of the least feasible root tuple of
-    `feasible_tuples_mw` through its first witness. Every prime node runs
-    one depth-first search over its children's tuple combinations. Below
-    the root it builds the full set, refusing a product over
-    `product_budget` before starting; at the root it looks for the least
-    tuple alone and prunes, and the budget bounds the combinations
-    reached plus the branches pruned, a part of the product, for each k.
-    Raises ResourceLimitError when the budget runs out.
+    `feasible_tuples_mw` through its first witness. Each pass builds
+    only what that rebuild reads, and stops at the first empty node set.
+    On the lean path (the root, and every node reached from it through
+    unions alone) a union sums its children's least tuples, a join's
+    last fold searches for its least tuple alone, and a prime node's
+    depth-first search over its children's tuple combinations looks for
+    the least tuple alone and prunes; the budget then bounds the
+    combinations reached plus the branches pruned, a part of the
+    product, for each k. Every other node builds its full set, and a
+    prime node there refuses a product over `product_budget` before
+    starting. Raises ResourceLimitError when the budget runs out.
     """
     if g.n == 0:
         return 0, Partition(0, ())
@@ -523,7 +603,8 @@ def chi_1ext(
 
 def verify_partition(g: Graph, p: Partition) -> bool:
     """Certificate check: every non-empty class must induce a 1-extendable
-    subgraph (the exact oracle, run on the class's vertex mask of g)."""
+    subgraph (the exact oracle, run on each connected component of the
+    class's vertex mask of g)."""
     if len(p.color) != g.n:
         raise InputError(
             f"partition covers {len(p.color)} vertices, graph has {g.n}"
@@ -531,7 +612,7 @@ def verify_partition(g: Graph, p: Partition) -> bool:
     nbr, unit = g.neighbor_masks(), (1,) * g.n
     for cls in p.classes():
         mask = sum(1 << v for v in cls)
-        if _cover(mask, nbr, unit, until_miss=True)[1] != mask:
+        if _split_cover(mask, nbr, unit, until_miss=True)[1] != mask:
             return False
     return True
 

@@ -118,3 +118,31 @@ def test_oracle_report_witness():
     assert mis_stats(fig1_bottom()).per_vertex_mis_count[2] == 0
     good = is_1ext_oracle_report(p4())
     assert good.is_1ext and good.witness_failure is None
+
+
+def _relabelled_union(rng, parts):
+    """The disjoint union of `parts` under a seeded relabelling, so that
+    the components' vertices interleave."""
+    edges, offset = [], 0
+    for h in parts:
+        edges += [(u + offset, v + offset) for u, v in h.edges]
+        offset += h.n
+    perm = list(range(offset))
+    rng.shuffle(perm)
+    return Graph(offset, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_oracle_report_on_interleaved_components():
+    # alpha adds up over the components, and the witness is the lowest
+    # vertex in no maximum independent set of the whole graph
+    rng = random.Random(57)
+    for _ in range(60):
+        parts = [random_graph(rng, rng.randint(1, 5), rng.random()) for _ in range(3)]
+        g = _relabelled_union(rng, parts)
+        report = is_1ext_oracle_report(g)
+        counts = mis_stats(g).per_vertex_mis_count
+        starved = [v for v in range(g.n) if counts[v] == 0]
+        assert report.alpha == alpha(g) == sum(map(alpha, parts))
+        assert report.is_1ext == (not starved) == bf_is_1ext(g)
+        assert report.witness_failure == (starved[0] if starved else None)
+

@@ -5,6 +5,7 @@ import pytest
 
 from extpart import (
     Graph,
+    Partition,
     ResourceLimitError,
     WeightedGraph,
     alpha,
@@ -17,10 +18,12 @@ from extpart import (
     enumerate_max_independent_sets,
     gen_multipartite_extremal,
     is_1ext_oracle,
+    is_1ext_oracle_report,
     maximum_independent_set,
     mis_covered_vertices,
     mis_stats,
     path_graph,
+    verify_partition,
     weighted_alpha,
     weighted_is_1ext,
     weighted_profile,
@@ -191,6 +194,27 @@ def test_1ext_with_universal_vertex_is_clique():
             g = complete_sum(base, complete_graph(1))
             if is_1ext_oracle(g):
                 assert g.m == g.n * (g.n - 1) // 2
+
+
+def test_oracle_searches_each_component_of_a_large_matching():
+    # one search per component: the 2,400-vertex matching took minutes
+    # when each checked vertex searched the whole graph
+    n = 2400
+    matching = Graph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
+    assert is_1ext_oracle(matching)
+    assert is_1ext_oracle_report(matching).alpha == n // 2
+    assert len(mis_covered_vertices(matching)) == n
+    # a path on three vertices starves its centre
+    with_p3 = Graph(n + 3, [*matching.edges, (n, n + 1), (n + 1, n + 2)])
+    report = is_1ext_oracle_report(with_p3)
+    assert (report.is_1ext, report.alpha, report.witness_failure) == (
+        False,
+        n // 2 + 2,
+        n + 1,
+    )
+    assert mis_covered_vertices(with_p3) == tuple(v for v in range(n + 3) if v != n + 1)
+    assert verify_partition(matching, Partition(1, (1,) * n))
+    assert not verify_partition(with_p3, Partition(1, (1,) * (n + 3)))
 
 
 def test_mis_covered_vertices():

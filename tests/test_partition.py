@@ -36,6 +36,7 @@ from extpart.partition import (
     DEFAULT_PRODUCT_BUDGET,
     FeasibleTupleSet,
     _join_witness,
+    _least_join,
     _sum_witness,
     _TupleDP,
 )
@@ -118,17 +119,36 @@ def _assert_fold_matches_reference(left, right):
             assert recover(left, right, tup) == expected[tup]
 
 
-@pytest.mark.parametrize("top", [1, 3, 127, 128, 1000, 40_000, 2**40])
-def test_fold_kernels_match_all_pairs_reference(top):
-    # tops on both sides of each field width (8, 16, 32, 64 bits); values
-    # come from a small pool so that joins find agreeing coordinates
+# tops on both sides of each field width (8, 16, 32, 64 bits)
+FIELD_TOPS = [1, 3, 127, 128, 1000, 40_000, 2**40]
+
+
+def _random_set_pairs(top):
+    """Seeded pairs of tuple sets for k = 1..5 with coordinates up to top;
+    values come from a small pool so that joins find agreeing coordinates."""
     rng = random.Random(70 + top)
     for k in range(1, 6):
         for _ in range(12):
             values = rng.sample(range(1, top + 1), min(top, 3)) + [top]
             s1 = _random_tuple_set(rng, k, rng.randint(0, 12), values)
             s2 = _random_tuple_set(rng, k, rng.randint(0, 12), values)
-            _assert_fold_matches_reference(fts(k, *s1), fts(k, *s2))
+            yield fts(k, *s1), fts(k, *s2)
+
+
+@pytest.mark.parametrize("top", FIELD_TOPS)
+def test_fold_kernels_match_all_pairs_reference(top):
+    for left, right in _random_set_pairs(top):
+        _assert_fold_matches_reference(left, right)
+
+
+@pytest.mark.parametrize("top", FIELD_TOPS)
+def test_least_join_is_the_least_tuple_of_the_join(top):
+    empty = 0
+    for left, right in _random_set_pairs(top):
+        full = tuple_join(left, right)
+        empty += not full
+        assert _least_join(left, right).tuples == full.tuples[:1]
+    assert 0 < empty < 60  # both kinds of join occur
 
 
 def test_fold_kernels_edge_cases():
