@@ -393,13 +393,10 @@ class _TupleDP:
         self.leaf = self._leaf_set()  # shared by every leaf of the tree
 
     def run(self, least: bool = False) -> FeasibleTupleSet:
-        """The root's feasible set. With `least`, the root's set holds only
-        its least tuple, which is all `chi_1ext` reads, and the pass stops
-        at the first empty node set, which leaves the root's empty too.
-        The least tuple of a union is the sum of its children's least
-        tuples, so the lean nodes (the root, and every node reached from
-        it through unions alone) build their least tuples only; rebuilding
-        that tuple reaches no other tuple of theirs."""
+        """The root's feasible set. With `least`, only what `chi_1ext`
+        reads: the lean nodes (the root, and every node reached from it
+        through unions alone) build their least tuple alone, and the pass
+        stops at the first empty node set, which empties the root's too."""
         root = self.tree.root
         lean = set()
         work = [root] if least else []
@@ -431,12 +428,10 @@ class _TupleDP:
 
     def _fold_set(self, node: MDNode, lean: bool) -> FeasibleTupleSet:
         """The fold of the children's sets, left to right, keeping each
-        partial result for `rebuild`. A lean union's children are lean,
-        so it sums their least tuples alone; a lean join's last fold keeps
-        the least tuple alone, which `rebuild` never reads as a left
-        operand."""
+        partial result for `rebuild`; a lean join's last fold keeps its
+        least tuple alone, which `rebuild` never reads as a left operand."""
         op = tuple_sum if node.kind == UNION else tuple_join
-        last = _least_join if lean and op is tuple_join else op
+        last = _least_join if lean and node.kind != UNION else op
         *sets, last_set = [self.final[c] for c in node.children]
         partial = [sets[0]]
         for s in sets[1:]:
