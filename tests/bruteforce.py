@@ -223,6 +223,11 @@ def ref_chi_cotree(root, n: int) -> tuple[int, tuple[int, ...]]:
         k += 1
 
 
+def ref_root_set(root, k: int) -> set[tuple[int, ...]]:
+    """The feasible k-tuples of a cotree's root by the all-pairs DP."""
+    return set(_ref_fold(root, k, {}))
+
+
 def _ref_fold(node, k: int, witnesses: dict) -> dict:
     if node.kind == "leaf":
         units = {tuple(int(j == i) for j in range(k)): i + 1 for i in range(k)}

@@ -50,6 +50,7 @@ from bruteforce import (
     random_graph,
     ref_chi_cotree,
     ref_prime_set,
+    ref_root_set,
     ref_tuple_join,
     ref_tuple_sum,
 )
@@ -232,6 +233,40 @@ def test_chi_colorings_match_all_pairs_reference():
     for g in graphs:
         k, part = chi_1ext(g)
         assert (k, part.color) == ref_chi_cotree(decompose(g).root, g.n)
+
+
+def test_cograph_root_sets_match_all_pairs_reference_and_are_permutation_closed():
+    # the DP may store one tuple per colour permutation, but the root set
+    # it returns is the full one, and the full one is closed under
+    # permuting colours
+    rng = random.Random(131)
+    graphs = [random_cograph(rng, rng.randint(8, 16)) for _ in range(12)]
+    graphs += [
+        gen(j)
+        for gen in (gen_multipartite_extremal, gen_interval_extremal)
+        for j in range(1, 5)
+    ]
+    nonempty = 0
+    for g in graphs:
+        t = decompose(g)
+        for k in range(1, 5):
+            got = feasible_tuples_mw(g, t, k).tuples
+            assert got == tuple(sorted(ref_root_set(t.root, k)))
+            closed = set(got)
+            assert all(set(itertools.permutations(tup)) <= closed for tup in got)
+            nonempty += bool(got)
+    assert nonempty > 40
+
+
+# chi_1ext(gen_interval_extremal(5)), vertex by vertex
+PINNED_INTERVAL_5 = "2345545534554552345545534554551"
+
+
+def test_chi_coloring_of_the_fifth_interval_extremal_graph_is_pinned():
+    g = gen_interval_extremal(5)
+    k, part = chi_1ext(g)
+    assert (k, "".join(map(str, part.color))) == (5, PINNED_INTERVAL_5)
+    assert verify_partition(g, part)
 
 
 def _random_prime_graph(rng, n, p):
