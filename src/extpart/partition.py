@@ -183,18 +183,28 @@ class _Packing:
         pack = self.struct.pack
         return [int.from_bytes(pack(*t), "big") for t in tuples]
 
-    def by_pattern(self, tuples) -> dict[int, list[int]]:
+    def unpack(self, a: int) -> Tuple:
+        return self.struct.unpack(a.to_bytes(self.struct.size, "big"))
+
+    def canonical(self, a: int) -> int:
+        """The packed tuple with the coordinates of `a` sorted ascending."""
+        st = self.struct
+        return int.from_bytes(st.pack(*sorted(st.unpack(a.to_bytes(st.size, "big")))), "big")
+
+    def permutations(self, a: int) -> list[int]:
+        """Every distinct packed permutation of the coordinates of `a`."""
+        return self.pack(set(itertools.permutations(self.unpack(a))))
+
+    def by_pattern(self, packed) -> dict[int, list[int]]:
         """Packed tuples grouped by their top-bit pattern of non-zero fields."""
         groups: dict[int, list[int]] = {}
-        pack, carry, high = self.struct.pack, self.nonzero_carry, self.high
-        for t in tuples:
-            a = int.from_bytes(pack(*t), "big")
+        carry, high = self.nonzero_carry, self.high
+        for a in packed:
             groups.setdefault((a + carry) & high, []).append(a)
         return groups
 
-    def result(self, packed: set[int], top: int) -> FeasibleTupleSet:
-        unpack, size = self.struct.unpack, self.struct.size
-        tuples = [unpack(a.to_bytes(size, "big")) for a in sorted(packed)]
+    def result(self, packed, top: int) -> FeasibleTupleSet:
+        tuples = map(self.unpack, sorted(packed))
         return FeasibleTupleSet._result(self.k, dict.fromkeys(tuples), top)
 
 
@@ -203,48 +213,47 @@ def _packing(k: int, nbytes: int) -> _Packing:
     return _Packing(k, nbytes)
 
 
-def _fold_packing(s1: FeasibleTupleSet, s2: FeasibleTupleSet) -> _Packing:
-    if s1.k != s2.k:
-        raise InputError(f"tuple arity mismatch: {s1.k} vs {s2.k}")
-    top = max(s1.top, s2.top)
+def _packing_for(k: int, top: int) -> _Packing:
+    """The narrowest packing of k-tuples whose fields hold twice `top`."""
     for nbytes in _FIELD_CODES:
         if 2 * top < 1 << 8 * nbytes:
-            return _packing(s1.k, nbytes)
+            return _packing(k, nbytes)
     raise InputError(f"tuple coordinate {top} is too large to pack in 64 bits")
 
 
-def tuple_sum(s1: FeasibleTupleSet, s2: FeasibleTupleSet) -> FeasibleTupleSet:
-    """Pairwise componentwise sums (the disjoint-union combination)."""
-    packing = _fold_packing(s1, s2)
+def _fold_packing(s1: FeasibleTupleSet, s2: FeasibleTupleSet) -> _Packing:
+    if s1.k != s2.k:
+        raise InputError(f"tuple arity mismatch: {s1.k} vs {s2.k}")
+    return _packing_for(s1.k, max(s1.top, s2.top))
+
+
+def _sum_packed(left, right) -> set[int]:
+    """Every packed sum a + b of a in `left` and b in `right`."""
     # addition commutes, so the Python loop runs over the smaller operand
-    small, large = (s1, s2) if len(s1) <= len(s2) else (s2, s1)
-    large_packed = packing.pack(large.tuples)
+    small, large = (left, right) if len(left) <= len(right) else (right, left)
     out: set[int] = set()
-    for a in packing.pack(small.tuples):
-        out.update(map(a.__add__, large_packed))
-    return packing.result(out, s1.top + s2.top)
+    for a in small:
+        out.update(map(a.__add__, large))
+    return out
 
 
-def tuple_join(s1: FeasibleTupleSet, s2: FeasibleTupleSet) -> FeasibleTupleSet:
-    """Zero-tolerant intersection (the complete-sum combination): each
-    coordinate must agree, except that a 0 on either side defers to the
-    other side's value.
+def _join_packed(packing: _Packing, left, right) -> set[int]:
+    """Every packed join a | b of compatible a in `left` and b in `right`.
 
-    Both operands are packed and grouped by zero pattern. Two packed
-    tuples a and b are compatible iff they agree on the fields where
-    both are non-zero, and their join is then a | b. For each pair of
-    patterns, the right group is hashed on its projection onto the
-    common support and probed with the left group, so the cost follows
-    the compatible pairs, not all pairs.
+    Both operands are grouped by zero pattern. Two packed tuples a and b
+    are compatible iff they agree on the fields where both are non-zero,
+    and their join is then a | b. For each pair of patterns, the right
+    group is hashed on its projection onto the common support and probed
+    with the left group, so the cost follows the compatible pairs, not
+    all pairs.
     """
-    packing = _fold_packing(s1, s2)
     shift, field = packing.shift, packing.field
-    left = packing.by_pattern(s1.tuples)
+    left_groups = packing.by_pattern(left)
     out: set[int] = set()
-    for p2, group2 in packing.by_pattern(s2.tuples).items():
+    for p2, group2 in packing.by_pattern(right).items():
         # with disjoint supports every pair is compatible: one bucket
         index_by_overlap: dict[int, dict[int, list[int]]] = {0: {0: group2}}
-        for p1, group1 in left.items():
+        for p1, group1 in left_groups.items():
             # all bits of the fields that are non-zero on both sides
             overlap = ((p1 & p2) >> shift) * field
             index = index_by_overlap.get(overlap)
@@ -256,74 +265,95 @@ def tuple_join(s1: FeasibleTupleSet, s2: FeasibleTupleSet) -> FeasibleTupleSet:
                 bucket = index.get(a & overlap)
                 if bucket is not None:
                     out.update(map(a.__or__, bucket))
-    return packing.result(out, max(s1.top, s2.top))
+    return out
 
 
-def _least_join(s1: FeasibleTupleSet, s2: FeasibleTupleSet) -> FeasibleTupleSet:
-    """The least tuple of `tuple_join(s1, s2)` alone, or no tuple when
-    the join is empty. Walks the larger operand's tuples in sorted order
-    and probes the smaller one's zero-pattern groups, each hashed on the
-    common support as in `tuple_join`, for the least compatible partner.
+def _least_join_packed(packing: _Packing, walk, index, key=None) -> int | None:
+    """The least packed join a | b of compatible a in `walk` and b in
+    `index`, both sorted, or None when no pair is compatible; with `key`,
+    the least key(a | b). Walks `walk` in sorted order and probes the
+    other operand's zero-pattern groups, each hashed on the common
+    support as in `_join_packed`, for the least compatible partner.
+
     A join is at least each of its operands, so the walk stops at the
-    first tuple that is at least the best join found.
-
-    Within one bucket every b agrees with a on a's support, so a | b
-    grows with b: a bucket keeps its least member alone."""
-    packing = _fold_packing(s1, s2)
+    first a that is at least the best join found. Within one bucket
+    every b agrees with a on a's support, so a | b grows with b: a
+    bucket keeps its least member alone. Both hold for the canonical
+    form as `key` too, when the walked tuples are canonical: the sorted
+    join is then at least a, and b varies only on a's leading zeros,
+    where the least b has the least sorted values."""
     shift, field = packing.shift, packing.field
-    carry, high, pack = packing.nonzero_carry, packing.high, packing.struct.pack
-    small, large = (s1, s2) if len(s1) <= len(s2) else (s2, s1)
-    # per pattern of the smaller operand: its group, and its index per
+    carry, high = packing.nonzero_carry, packing.high
+    # per pattern of the indexed operand: its group, and its index per
     # overlap, built on first use
     indexed = [
         (p2, group2, {0: {0: group2[0]}})
-        for p2, group2 in packing.by_pattern(small.tuples).items()
+        for p2, group2 in packing.by_pattern(index).items()
     ]
     best = None
-    for t in large.tuples:
-        a = int.from_bytes(pack(*t), "big")
+    for a in walk:
         if best is not None and a >= best:
             break
         p1 = (a + carry) & high
         for p2, group2, index_by_overlap in indexed:
             overlap = ((p1 & p2) >> shift) * field
-            index = index_by_overlap.get(overlap)
-            if index is None:
-                index = index_by_overlap[overlap] = {}
+            bucket = index_by_overlap.get(overlap)
+            if bucket is None:
+                bucket = index_by_overlap[overlap] = {}
                 for b in group2:
-                    index.setdefault(b & overlap, b)
-            b = index.get(a & overlap)
-            if b is not None and (best is None or a | b < best):
-                best = a | b
-    return packing.result(set() if best is None else {best}, max(s1.top, s2.top))
+                    bucket.setdefault(b & overlap, b)
+            b = bucket.get(a & overlap)
+            if b is not None:
+                joined = a | b if key is None else key(a | b)
+                if best is None or joined < best:
+                    best = joined
+    return best
 
 
-def _least(s: FeasibleTupleSet) -> FeasibleTupleSet:
-    """The least tuple of a non-empty set alone, with its witness."""
-    tup = s.tuples[0]
-    return FeasibleTupleSet._result(s.k, {tup: s.witness[tup]}, max(tup))
+def tuple_sum(s1: FeasibleTupleSet, s2: FeasibleTupleSet) -> FeasibleTupleSet:
+    """Pairwise componentwise sums (the disjoint-union combination)."""
+    packing = _fold_packing(s1, s2)
+    out = _sum_packed(packing.pack(s1), packing.pack(s2))
+    return packing.result(out, s1.top + s2.top)
 
 
-def _sum_witness(
-    left: FeasibleTupleSet, right: FeasibleTupleSet, tup: Tuple
-) -> tuple[Tuple, Tuple]:
-    """The first pair (t1, t2) in sorted order with t1 + t2 == tup."""
-    for t1 in left.tuples:
+def tuple_join(s1: FeasibleTupleSet, s2: FeasibleTupleSet) -> FeasibleTupleSet:
+    """Zero-tolerant intersection (the complete-sum combination): each
+    coordinate must agree, except that a 0 on either side defers to the
+    other side's value."""
+    packing = _fold_packing(s1, s2)
+    out = _join_packed(packing, packing.pack(s1), packing.pack(s2))
+    return packing.result(out, max(s1.top, s2.top))
+
+
+def _least_join(s1: FeasibleTupleSet, s2: FeasibleTupleSet) -> FeasibleTupleSet:
+    """The least tuple of `tuple_join(s1, s2)` alone, or no tuple when
+    the join is empty."""
+    packing = _fold_packing(s1, s2)
+    # the Python loop walks the larger operand, and stops early
+    small, large = sorted((packing.pack(s1), packing.pack(s2)), key=len)
+    best = _least_join_packed(packing, large, small)
+    return packing.result(() if best is None else (best,), max(s1.top, s2.top))
+
+
+def _sum_witness(left, right, tup: Tuple) -> tuple[Tuple, Tuple]:
+    """The first pair (t1, t2), t1 running through `left` in sorted order
+    and t2 a member of `right`, with t1 + t2 == tup."""
+    for t1 in left:
         t2 = tuple(map(operator.sub, tup, t1))
         if t2 in right:
             return t1, t2
     raise AssertionError(f"no sum witness for {tup}")
 
 
-def _join_witness(
-    left: FeasibleTupleSet, right: FeasibleTupleSet, tup: Tuple
-) -> tuple[Tuple, Tuple]:
-    """The first pair (t1, t2) in sorted order whose join is tup: t1
-    agrees with tup on its support, and t2 equals tup off t1's support
-    and is 0 or tup's value on it (options listed in ascending order, so
-    the product runs through candidates for t2 in sorted order)."""
-    for t1 in left.tuples:
-        if all(a == 0 or a == b for a, b in zip(t1, tup)):
+def _join_witness(left, right, tup: Tuple) -> tuple[Tuple, Tuple]:
+    """The first pair (t1, t2) in sorted order, t1 a member of `left` and
+    t2 of `right`, whose join is tup: t1 agrees with tup on its support,
+    and t2 equals tup off t1's support and is 0 or tup's value on it.
+    Both run through their candidates in sorted order: each coordinate's
+    options are listed in ascending order, so their product is sorted."""
+    for t1 in itertools.product(*[(0, b) if b else (0,) for b in tup]):
+        if t1 in left:
             options = [(0, b) if a else (b,) for a, b in zip(t1, tup)]
             for t2 in itertools.product(*options):
                 if t2 in right:
@@ -379,68 +409,130 @@ class _PrimeColors:
         return False
 
 
+class _Memo(dict):
+    """A dict that fills a missing key from `fn` on first lookup."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        self[key] = value = self.fn(key)
+        return value
+
+
+class _Closure:
+    """Membership in the colour-permutation closure of a canonical set."""
+
+    def __init__(self, canonical: set[int], packing: _Packing):
+        self.canonical, self.pack = canonical, packing.struct.pack
+
+    def __contains__(self, tup: Tuple) -> bool:
+        tup = sorted(tup)
+        # a sum witness probes differences, which may go negative
+        return tup[0] >= 0 and int.from_bytes(self.pack(*tup), "big") in self.canonical
+
+
 class _TupleDP:
     """Feasible-tuple dynamic program over a modular decomposition tree,
     retaining per-node sets and fold intermediates so a witness tuple can
-    be expanded back into a concrete partition."""
+    be expanded back into a concrete partition.
+
+    Every node's feasible set is closed under permuting colours, so
+    `sets` holds it in colour-canonical form: the packed ints, at one
+    field width for the whole DP, of its tuples sorted ascending. A lean
+    node holds its least tuple alone, which is canonical too. For closed
+    A and B, A + B is the closure of canon(A) + B, and likewise for the
+    join, so a fold step runs the packed kernel on the canonical left
+    and the expanded right and keeps the canonical forms of what comes
+    out. `perms` and `canon` memoize, per DP, the distinct permutations
+    of a canonical tuple and the canonical form of a packed tuple.
+    Leaves share the full unit-tuple set; prime nodes keep their full
+    sets with their combinations in `found`."""
 
     def __init__(self, tree: MDTree, k: int, product_budget: int):
         self.tree = tree
         self.k = k
         self.budget = product_budget
-        self.final: dict[MDNode, FeasibleTupleSet] = {}
-        self.chain: dict[MDNode, list[FeasibleTupleSet]] = {}
-        self.leaf = self._leaf_set()  # shared by every leaf of the tree
+        self.packing = packing = _packing_for(k, tree.graph.n)
+        self.sets: dict[MDNode, set[int]] = {}
+        self.found: dict[MDNode, dict[Tuple, object]] = {}
+        self.chain: dict[MDNode, list[set[int]]] = {}
+        self.lean: set[MDNode] = set()
+        self.perms = _Memo(packing.permutations)
+        self.canon = _Memo(packing.canonical)
+        # unit tuples in sorted order, shared by every leaf of the tree
+        units = [tuple(int(j == i - 1) for j in range(k)) for i in range(k, 0, -1)]
+        self.leaf = dict(zip(units, (("leaf", i) for i in range(k, 0, -1))))
+        self.leaf_set = set(packing.pack(units[:1]))
 
-    def run(self, least: bool = False) -> FeasibleTupleSet:
-        """The root's feasible set. With `least`, only what `chi_1ext`
-        reads: the lean nodes (the root, and every node reached from it
-        through unions alone) build their least tuple alone, and the pass
-        stops at the first empty node set, which empties the root's too."""
+    def _expand(self, canonical) -> list[int]:
+        """Every colour permutation of the canonical packed tuples."""
+        return [*itertools.chain.from_iterable(map(self.perms.__getitem__, canonical))]
+
+    def run(self, least: bool = False) -> Tuple | None:
+        """The root's least feasible tuple, or None when its set is empty.
+        With `least`, only what `chi_1ext` reads: the lean nodes (the
+        root, and every node reached from it through unions alone) build
+        their least tuple alone, and the pass stops at the first empty
+        node set, which empties the root's too."""
         root = self.tree.root
-        lean = set()
         work = [root] if least else []
         while work:
             node = work.pop()
-            lean.add(node)
+            self.lean.add(node)
             if node.kind == UNION:
                 work.extend(node.children)
-        lean_leaf = _least(self.leaf)
         for node in root.bottom_up():
             if node.kind == LEAF:
-                s = lean_leaf if node in lean else self.leaf
+                s = self.leaf_set
             elif node.kind == PRIME:
-                s = self._prime_set(node, node in lean)
+                s = self._prime_set(node, node in self.lean)
             else:
-                s = self._fold_set(node, node in lean)
-            self.final[node] = s
+                s = self._fold_set(node)
+            self.sets[node] = s
             if least and not s:
-                return s
-        return self.final[root]
+                return None
+        return self.packing.unpack(min(self.sets[root])) if self.sets[root] else None
 
-    def _leaf_set(self) -> FeasibleTupleSet:
-        k = self.k
-        out: dict[Tuple, object] = {}
-        for i in range(k, 0, -1):  # unit tuples in sorted order
-            e = tuple(1 if j == i - 1 else 0 for j in range(k))
-            out[e] = ("leaf", i)
-        return FeasibleTupleSet._result(k, out, 1)
+    def full(self, node: MDNode) -> FeasibleTupleSet:
+        """The node's full feasible set in sorted order: its canonical
+        tuples with every colour permutation. A leaf or prime node's set
+        keeps its witnesses."""
+        witness = self.leaf if node.kind == LEAF else self.found.get(node)
+        if witness is None:
+            tuples = map(self.packing.unpack, sorted(self._expand(self.sets[node])))
+            witness = dict.fromkeys(tuples)
+        return FeasibleTupleSet._result(self.k, witness, max(map(max, witness), default=0))
 
-    def _fold_set(self, node: MDNode, lean: bool) -> FeasibleTupleSet:
+    def _fold_set(self, node: MDNode) -> set[int]:
         """The fold of the children's sets, left to right, keeping each
-        partial result for `rebuild`; a lean join's last fold keeps its
-        least tuple alone, which `rebuild` never reads as a left operand."""
-        op = tuple_sum if node.kind == UNION else tuple_join
-        last = _least_join if lean and node.kind != UNION else op
-        *sets, last_set = [self.final[c] for c in node.children]
-        partial = [sets[0]]
-        for s in sets[1:]:
-            partial.append(op(partial[-1], s))
-        partial.append(last(partial[-1], last_set))
+        partial result for `rebuild`. A lean union sums its children's
+        least tuples: lexicographic order is translation invariant. A lean
+        join's last fold keeps its least tuple alone, which `rebuild`
+        never reads as a left operand: it walks the canonical tuples of
+        the operand that has more of them and indexes the other in full."""
+        sets = [self.sets[c] for c in node.children]
+        lean = node in self.lean
+        if lean and node.kind == UNION:
+            partial = [*itertools.accumulate(sets, lambda a, b: {min(a) + min(b)})]
+        else:
+            if node.kind == UNION:
+                kernel = _sum_packed
+            else:
+                kernel = functools.partial(_join_packed, self.packing)
+            canon = self.canon.__getitem__
+            partial = [sets[0]]
+            for s in sets[1:-1] if lean else sets[1:]:
+                partial.append(set(map(canon, kernel(partial[-1], self._expand(s)))))
+            if lean:
+                walk, other = sorted((partial[-1], sets[-1]), key=len, reverse=True)
+                index = sorted(self._expand(other))
+                best = _least_join_packed(self.packing, sorted(walk), index, canon)
+                partial.append(set() if best is None else {best})
         self.chain[node] = partial
         return partial[-1]
 
-    def _prime_set(self, node: MDNode, least: bool) -> FeasibleTupleSet:
+    def _prime_set(self, node: MDNode, least: bool) -> set[int]:
         """Every tuple some combination of one tuple per child yields, with
         the first such combination in product order as its witness; with
         `least`, only the least tuple. Searches depth first in product
@@ -449,8 +541,9 @@ class _TupleDP:
         branch whose colors' weighted alphas so far, which only grow as
         weight is added, are lexicographically at least the best tuple
         found; each combination reached and each branch pruned counts
-        against the budget."""
-        *outer, inner = sets = [self.final[c].tuples for c in node.children]
+        against the budget. Keeps the tuples with their combinations in
+        `found` and returns their canonical forms."""
+        *outer, inner = sets = [self.full(c).tuples for c in node.children]
         budget = self.budget
         if not least:
             total = math.prod(map(len, sets))
@@ -502,30 +595,37 @@ class _TupleDP:
                     f"prime-node search over {len(sets)} children"
                     f" exceeds budget {budget}"
                 )
-        top = max(map(max, found), default=0)
-        return FeasibleTupleSet._result(self.k, dict(sorted(found.items())), top)
+        self.found[node] = dict(sorted(found.items()))
+        return set(map(self.canon.__getitem__, self.packing.pack(found)))
 
     def rebuild(self, tup: Tuple) -> Partition:
         """Expand a root tuple top-down into a colouring: each node hands
-        every child the tuple its witness names."""
+        every child the tuple its witness names. A fold node recovers the
+        first pair in sorted order: a union walks its left partial in
+        full, a join the tuples that agree with tup on their support, and
+        both test membership by canonical lookup."""
         colors = [0] * self.tree.graph.n
         work = [(self.tree.root, tup)]
         while work:
             node, tup = work.pop()
-            witness = self.final[node].witness
             if node.kind == LEAF:
                 assert node.vertex is not None
-                colors[node.vertex] = witness[tup][1]
+                colors[node.vertex] = self.leaf[tup][1]
             elif node.kind == PRIME:
-                work.extend(zip(node.children, witness[tup][1]))
+                work.extend(zip(node.children, self.found[node][tup][1]))
             else:
-                recover = _sum_witness if node.kind == UNION else _join_witness
                 partial = self.chain[node]
                 for i in range(len(node.children) - 1, 0, -1):
-                    left, right = recover(
-                        partial[i - 1], self.final[node.children[i]], tup
-                    )
-                    work.append((node.children[i], right))
+                    child, left = node.children[i], partial[i - 1]
+                    right = _Closure(self.sets[child], self.packing)
+                    if node.kind == UNION:
+                        if node not in self.lean:
+                            left = self._expand(left)
+                        left = map(self.packing.unpack, sorted(left))
+                        left, right = _sum_witness(left, right, tup)
+                    else:
+                        left, right = _join_witness(_Closure(left, self.packing), right, tup)
+                    work.append((child, right))
                     tup = left
                 work.append((node.children[0], tup))
         return Partition(self.k, tuple(colors))
@@ -544,7 +644,9 @@ def feasible_tuples_mw(
     if k < 1:
         raise InputError(f"class count k must be at least 1, got {k}")
     _check_tree(g, t)
-    return _TupleDP(t, k, product_budget).run()
+    dp = _TupleDP(t, k, product_budget)
+    dp.run()
+    return dp.full(t.root)
 
 
 def _ceil_2sqrt(n: int) -> int:
@@ -588,9 +690,9 @@ def chi_1ext(
         bound = max_k
     for k in range(1, bound + 1):
         dp = _TupleDP(tree, k, product_budget)
-        fts = dp.run(least=True)
-        if fts:
-            return k, dp.rebuild(fts.tuples[0])
+        least = dp.run(least=True)
+        if least is not None:
+            return k, dp.rebuild(least)
     if capped:
         return None
     raise AssertionError("no feasible partition within proven upper bounds")

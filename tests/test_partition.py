@@ -330,7 +330,8 @@ def _full_set_chi(g, max_k):
     t = decompose(g)
     for k in range(1, max_k + 1):
         dp = _TupleDP(t, k, DEFAULT_PRODUCT_BUDGET)
-        fts = dp.run()
+        dp.run()
+        fts = dp.full(t.root)
         if fts:
             return k, dp.rebuild(fts.tuples[0])
     return None
@@ -454,9 +455,9 @@ def test_prime_sets_match_the_product_reference():
                 if node.kind != "prime":
                     continue
                 below_root += node is not t.root
-                child_sets = [dp.final[c].tuples for c in node.children]
+                child_sets = [dp.full(c).tuples for c in node.children]
                 ref = ref_prime_set(node.rep, child_sets)
-                got = dp.final[node]
+                got = dp.full(node)
                 assert got.tuples == tuple(ref)
                 assert got.witness == {tup: ("prime", c) for tup, c in ref.items()}
     assert below_root == 9
