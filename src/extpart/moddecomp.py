@@ -230,6 +230,34 @@ def _module_alphas(root: MDNode) -> dict[MDNode, int]:
     return alphas
 
 
+def _restrict(root: MDNode, keep: int) -> MDNode | None:
+    """The cotree of the subgraph that the vertex mask `keep` induces,
+    from the cotree below root, vertices keeping their labels; None when
+    no vertex is kept. Dropped leaves go, a node left with one child is
+    that child, and a child of its parent's kind merges into it; children
+    stay ordered by minimum vertex, and a node that lost nothing is
+    reused."""
+    built: dict[MDNode, MDNode | None] = {}
+    for node in root.bottom_up():
+        if node.kind == LEAF:
+            assert node.vertex is not None
+            built[node] = node if keep >> node.vertex & 1 else None
+            continue
+        children: list[MDNode] = []
+        for child in map(built.pop, node.children):
+            if child is not None:
+                children.extend(child.children if child.kind == node.kind else (child,))
+        if tuple(children) == node.children:
+            built[node] = node
+        elif len(children) < 2:
+            built[node] = children[0] if children else None
+        else:
+            children.sort(key=lambda c: c.module[0])
+            module = tuple(sorted(v for c in children for v in c.module))
+            built[node] = MDNode(node.kind, module, tuple(children))
+    return built[root]
+
+
 def module_alpha(g: Graph, node: MDNode) -> int:
     """Independence number of the subgraph induced by the node's module,
     bottom-up over the tree (weighted representative at prime nodes)."""

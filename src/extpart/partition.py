@@ -71,6 +71,7 @@ from .moddecomp import (
     UNION,
     _check_tree,
     _module_alphas,
+    _restrict,
     decompose,
     is_cograph,
     module_alpha,
@@ -839,29 +840,21 @@ def _extract(root: MDNode, k: int, alphas: dict[MDNode, int]) -> list[int]:
 def log_partition_cograph(t: MDTree) -> Partition:
     """Repeated halving on a cograph: extract a 1-extendable subgraph of
     independence number ceil(alpha/2), repeat on the rest; uses at most
-    floor(log2(alpha)) + 1 classes."""
+    floor(log2(alpha)) + 1 classes. The rest's cotree is the current one
+    restricted to the rest's vertices."""
     if not is_cograph(t):
         raise InputError("log partition requires a cograph decomposition")
-    g = t.graph
-    colors = [0] * g.n
-    to_orig = list(range(g.n))
-    cur_g, cur_tree = g, t
+    colors = [0] * t.graph.n
+    root: MDNode | None = t.root
+    remaining = (1 << t.graph.n) - 1
     c = 0
-    while cur_g.n > 0:
-        alphas = _module_alphas(cur_tree.root)
-        a = alphas[cur_tree.root]
+    while root is not None:
+        alphas = _module_alphas(root)
+        a = alphas[root]
         c += 1
-        if a <= 1:
-            for v in range(cur_g.n):
-                colors[to_orig[v]] = c
-            break
-        v1 = _extract(cur_tree.root, (a + 1) // 2, alphas)
+        v1 = root.module if a <= 1 else _extract(root, (a + 1) // 2, alphas)
         for v in v1:
-            colors[to_orig[v]] = c
-        v2 = sorted(set(range(cur_g.n)).difference(v1))
-        if not v2:
-            break
-        cur_g, _ = induced_subgraph(cur_g, v2)
-        to_orig = [to_orig[v] for v in v2]
-        cur_tree = decompose(cur_g)
+            colors[v] = c
+            remaining &= ~(1 << v)
+        root = _restrict(root, remaining)
     return Partition(c, tuple(colors))
