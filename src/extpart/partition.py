@@ -194,7 +194,14 @@ class _Packing:
 
     def permutations(self, a: int) -> list[int]:
         """Every distinct packed permutation of the coordinates of `a`."""
-        return self.pack(set(itertools.permutations(self.unpack(a))))
+        t = self.unpack(a)
+        if self.k <= 5:  # at most 120 orders: itertools lists them fastest
+            return self.pack(set(itertools.permutations(t)))
+        # insert each coordinate at every place, keeping distinct orders only
+        perms = {()}
+        for v in t:
+            perms = {p[:i] + (v,) + p[i:] for p in perms for i in range(len(p) + 1)}
+        return self.pack(perms)
 
     def by_pattern(self, packed) -> dict[int, list[int]]:
         """Packed tuples grouped by their top-bit pattern of non-zero fields."""

@@ -256,6 +256,12 @@ def test_cograph_root_sets_match_all_pairs_reference_and_are_permutation_closed(
             assert all(set(itertools.permutations(tup)) <= closed for tup in got)
             nonempty += bool(got)
     assert nonempty > 40
+    # beyond five colours the distinct orders are listed another way
+    for g in [random_cograph(rng, 7) for _ in range(4)]:
+        t = decompose(g)
+        for k in (6, 7):
+            got = feasible_tuples_mw(g, t, k).tuples
+            assert got and got == tuple(sorted(ref_root_set(t.root, k)))
 
 
 # chi_1ext(gen_interval_extremal(5)), vertex by vertex
