@@ -239,16 +239,12 @@ def _restrict(root: MDNode, keep: int) -> MDNode | None:
     reused."""
     built: dict[MDNode, MDNode | None] = {}
     for node in root.bottom_up():
-        if node.kind == LEAF:
-            assert node.vertex is not None
-            built[node] = node if keep >> node.vertex & 1 else None
-            continue
         children: list[MDNode] = []
         for child in map(built.pop, node.children):
             if child is not None:
                 children.extend(child.children if child.kind == node.kind else (child,))
-        if tuple(children) == node.children:
-            built[node] = node
+        if tuple(children) == node.children:  # a leaf, or a node that lost nothing
+            built[node] = node if children or keep >> node.vertex & 1 else None
         elif len(children) < 2:
             built[node] = children[0] if children else None
         else:

@@ -27,16 +27,24 @@ The one program serves cographs and general graphs alike. It fills the
 node sets bottom-up and rebuilds top-down from a work list, so neither
 walk is bounded by the interpreter's recursion limit.
 
-The two fold kernels pack every k-tuple into one int of k fixed-width
-fields, coordinate 0 most significant, so packed ints sort like their
-tuples. A field is wide enough for the sum of two coordinates, so a sum
-is one integer addition. The join groups each operand by its zero
-pattern and, per pair of patterns, hashes one side on its projection
-onto the common support, so only compatible pairs are ever touched.
+Every feasible set is closed under permuting colours, so the program
+stores one tuple per permutation class: the tuple sorted ascending,
+packed into one int of k fixed-width fields, coordinate 0 most
+significant, so packed ints sort like their tuples. A field is wide
+enough for twice the graph's order, so a sum is one integer addition.
+For closed sets A and B, the sum (or join) of A and B is the closure of
+that of A's sorted tuples with all of B, so each fold runs one packed
+kernel on the left operand's sorted tuples and the right operand's
+expansion into every permutation, and keeps the sorted form of each
+result. The join kernel groups each operand by its zero pattern and,
+per pair of patterns, hashes one side on its projection onto the common
+support, so only compatible pairs are ever touched. `tuple_sum` and
+`tuple_join` pack their operands, run the same kernels and unpack.
 Sum and join results store no witnesses: rebuilding a partition
 expands one tuple per node and recovers, for that tuple only, the first
-pair in sorted order that combines to it. Leaf and prime sets keep their
-witnesses.
+pair in sorted order that combines to it, testing membership in a set
+by the sorted form of the tuple. Leaf and prime sets keep every tuple
+with its witness.
 
 Alongside the exact search, three constructive procedures realize the
 general upper bounds: stratified peeling (at most alpha classes), greedy
@@ -111,7 +119,9 @@ class FeasibleTupleSet:
     """Deduplicated, sorted set of feasible k-tuples. `witness` maps each
     tuple, in sorted order, to how it arose; sum and join results map
     every tuple to None, because rebuilding recovers their witnesses on
-    demand. `top` bounds every coordinate from above."""
+    demand. `top` bounds every coordinate from above. The dynamic program
+    keeps one packed tuple per colour permutation class of its node sets
+    and builds this form, every permutation included, for its callers."""
 
     def __init__(self, k: int, witness: dict[Tuple, object]):
         if type(k) is not int or k < 1:
@@ -190,7 +200,8 @@ class _Packing:
     def canonical(self, a: int) -> int:
         """The packed tuple with the coordinates of `a` sorted ascending."""
         st = self.struct
-        return int.from_bytes(st.pack(*sorted(st.unpack(a.to_bytes(st.size, "big")))), "big")
+        tup = sorted(st.unpack(a.to_bytes(st.size, "big")))
+        return int.from_bytes(st.pack(*tup), "big")
 
     def permutations(self, a: int) -> list[int]:
         """Every distinct packed permutation of the coordinates of `a`."""
@@ -245,7 +256,7 @@ def _sum_packed(left, right) -> set[int]:
     return out
 
 
-def _join_packed(packing: _Packing, left, right) -> set[int]:
+def _join_packed(left, right, packing: _Packing) -> set[int]:
     """Every packed join a | b of compatible a in `left` and b in `right`.
 
     Both operands are grouped by zero pattern. Two packed tuples a and b
@@ -330,7 +341,7 @@ def tuple_join(s1: FeasibleTupleSet, s2: FeasibleTupleSet) -> FeasibleTupleSet:
     coordinate must agree, except that a 0 on either side defers to the
     other side's value."""
     packing = _fold_packing(s1, s2)
-    out = _join_packed(packing, packing.pack(s1), packing.pack(s2))
+    out = _join_packed(packing.pack(s1), packing.pack(s2), packing)
     return packing.result(out, max(s1.top, s2.top))
 
 
@@ -443,19 +454,12 @@ class _Closure:
 class _TupleDP:
     """Feasible-tuple dynamic program over a modular decomposition tree,
     retaining per-node sets and fold intermediates so a witness tuple can
-    be expanded back into a concrete partition.
-
-    Every node's feasible set is closed under permuting colours, so
-    `sets` holds it in colour-canonical form: the packed ints, at one
-    field width for the whole DP, of its tuples sorted ascending. A lean
-    node holds its least tuple alone, which is canonical too. For closed
-    A and B, A + B is the closure of canon(A) + B, and likewise for the
-    join, so a fold step runs the packed kernel on the canonical left
-    and the expanded right and keeps the canonical forms of what comes
-    out. `perms` and `canon` memoize, per DP, the distinct permutations
-    of a canonical tuple and the canonical form of a packed tuple.
-    Leaves share the full unit-tuple set; prime nodes keep their full
-    sets with their combinations in `found`."""
+    be expanded back into a concrete partition. `sets` holds each node's
+    set in colour-canonical form (its tuples sorted ascending, packed at
+    one field width per DP); a lean node's is its least tuple alone.
+    `perms` and `canon` memoize the expansion of a canonical tuple and
+    the canonical form of a packed one. Prime nodes keep their full sets
+    with their combinations in `found`."""
 
     def __init__(self, tree: MDTree, k: int, product_budget: int):
         self.tree = tree
@@ -510,7 +514,8 @@ class _TupleDP:
         if witness is None:
             tuples = map(self.packing.unpack, sorted(self._expand(self.sets[node])))
             witness = dict.fromkeys(tuples)
-        return FeasibleTupleSet._result(self.k, witness, max(map(max, witness), default=0))
+        top = max(map(max, witness), default=0)
+        return FeasibleTupleSet._result(self.k, witness, top)
 
     def _fold_set(self, node: MDNode) -> set[int]:
         """The fold of the children's sets, left to right, keeping each
@@ -527,11 +532,12 @@ class _TupleDP:
             if node.kind == UNION:
                 kernel = _sum_packed
             else:
-                kernel = functools.partial(_join_packed, self.packing)
+                kernel = functools.partial(_join_packed, packing=self.packing)
             canon = self.canon.__getitem__
             partial = [sets[0]]
             for s in sets[1:-1] if lean else sets[1:]:
-                partial.append(set(map(canon, kernel(partial[-1], self._expand(s)))))
+                out = kernel(partial[-1], self._expand(s))
+                partial.append(set(map(canon, out)))
             if lean:
                 walk, other = sorted((partial[-1], sets[-1]), key=len, reverse=True)
                 index = sorted(self._expand(other))
@@ -627,12 +633,12 @@ class _TupleDP:
                     child, left = node.children[i], partial[i - 1]
                     right = _Closure(self.sets[child], self.packing)
                     if node.kind == UNION:
-                        if node not in self.lean:
-                            left = self._expand(left)
-                        left = map(self.packing.unpack, sorted(left))
+                        # a lean partial's least tuple is its least order
+                        left = map(self.packing.unpack, sorted(self._expand(left)))
                         left, right = _sum_witness(left, right, tup)
                     else:
-                        left, right = _join_witness(_Closure(left, self.packing), right, tup)
+                        left = _Closure(left, self.packing)
+                        left, right = _join_witness(left, right, tup)
                     work.append((child, right))
                     tup = left
                 work.append((node.children[0], tup))

@@ -22,7 +22,8 @@ from extpart import (
     weighted_alpha,
     weighted_representative,
 )
-from extpart.moddecomp import post_order
+from extpart.graphs import induced_subgraph
+from extpart.moddecomp import _restrict, post_order
 from bruteforce import bf_modules, p4, random_cograph, random_graph
 
 
@@ -42,6 +43,28 @@ def test_post_order_matches_recursive_reference():
             nodes.append(child)
         got = [label for label, _ in post_order(nodes[0], lambda node: node[1])]
         assert got == reference(nodes[0], [])
+
+
+def _shape(node, label):
+    """A tree as nested (kind, module, children) tuples, each vertex v
+    written as label(v)."""
+    children = tuple(_shape(c, label) for c in node.children)
+    return node.kind, tuple(map(label, node.module)), children
+
+
+def test_restricted_cotree_is_the_cotree_of_the_induced_subgraph():
+    rng = random.Random(97)
+    for _ in range(60):
+        g = random_cograph(rng, rng.randint(2, 14))
+        label = rng.sample(range(g.n), g.n)  # so that modules interleave
+        g = Graph(g.n, [(label[u], label[v]) for u, v in g.edges])
+        keep = [v for v in range(g.n) if rng.random() < 0.6]
+        root = _restrict(decompose(g).root, sum(1 << v for v in keep))
+        if not keep:
+            assert root is None
+            continue
+        sub = decompose(induced_subgraph(g, keep)[0]).root
+        assert _shape(root, lambda v: v) == _shape(sub, keep.__getitem__)
 
 
 def test_decompose_single_vertex():
