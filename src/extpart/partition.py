@@ -256,7 +256,7 @@ def _sum_packed(left, right) -> set[int]:
     return out
 
 
-def _join_packed(left, right, packing: _Packing) -> set[int]:
+def _join_packed(packing: _Packing, left, right) -> set[int]:
     """Every packed join a | b of compatible a in `left` and b in `right`.
 
     Both operands are grouped by zero pattern. Two packed tuples a and b
@@ -341,7 +341,7 @@ def tuple_join(s1: FeasibleTupleSet, s2: FeasibleTupleSet) -> FeasibleTupleSet:
     coordinate must agree, except that a 0 on either side defers to the
     other side's value."""
     packing = _fold_packing(s1, s2)
-    out = _join_packed(packing.pack(s1), packing.pack(s2), packing)
+    out = _join_packed(packing, packing.pack(s1), packing.pack(s2))
     return packing.result(out, max(s1.top, s2.top))
 
 
@@ -474,7 +474,8 @@ class _TupleDP:
         self.canon = _Memo(packing.canonical)
         # unit tuples in sorted order, shared by every leaf of the tree
         units = [tuple(int(j == i - 1) for j in range(k)) for i in range(k, 0, -1)]
-        self.leaf = dict(zip(units, (("leaf", i) for i in range(k, 0, -1))))
+        witness = dict(zip(units, (("leaf", i) for i in range(k, 0, -1))))
+        self.leaf = FeasibleTupleSet._result(k, witness, 1)
         self.leaf_set = set(packing.pack(units[:1]))
 
     def _expand(self, canonical) -> list[int]:
@@ -510,12 +511,13 @@ class _TupleDP:
         """The node's full feasible set in sorted order: its canonical
         tuples with every colour permutation. A leaf or prime node's set
         keeps its witnesses."""
-        witness = self.leaf if node.kind == LEAF else self.found.get(node)
+        if node.kind == LEAF:
+            return self.leaf
+        witness = self.found.get(node)
         if witness is None:
             tuples = map(self.packing.unpack, sorted(self._expand(self.sets[node])))
             witness = dict.fromkeys(tuples)
-        top = max(map(max, witness), default=0)
-        return FeasibleTupleSet._result(self.k, witness, top)
+        return FeasibleTupleSet._result(self.k, witness, self.tree.graph.n)
 
     def _fold_set(self, node: MDNode) -> set[int]:
         """The fold of the children's sets, left to right, keeping each
@@ -532,7 +534,7 @@ class _TupleDP:
             if node.kind == UNION:
                 kernel = _sum_packed
             else:
-                kernel = functools.partial(_join_packed, packing=self.packing)
+                kernel = functools.partial(_join_packed, self.packing)
             canon = self.canon.__getitem__
             partial = [sets[0]]
             for s in sets[1:-1] if lean else sets[1:]:
@@ -624,7 +626,7 @@ class _TupleDP:
             node, tup = work.pop()
             if node.kind == LEAF:
                 assert node.vertex is not None
-                colors[node.vertex] = self.leaf[tup][1]
+                colors[node.vertex] = self.leaf.witness[tup][1]
             elif node.kind == PRIME:
                 work.extend(zip(node.children, self.found[node][tup][1]))
             else:
