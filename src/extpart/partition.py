@@ -72,6 +72,7 @@ from .independent_sets import (
     maximum_independent_set,
 )
 from .moddecomp import (
+    JOIN,
     LEAF,
     MDNode,
     MDTree,
@@ -617,9 +618,13 @@ class _TupleDP:
     def rebuild(self, tup: Tuple) -> Partition:
         """Expand a root tuple top-down into a colouring: each node hands
         every child the tuple its witness names. A fold node recovers the
-        first pair in sorted order: a union walks its left partial in
-        full, a join the tuples that agree with tup on their support, and
-        both test membership by canonical lookup."""
+        first pair (t1, t2) in sorted order. A union walks the side with
+        fewer canonical tuples in full: the left one up, or the right one
+        down, as t1 = tup - t2 then grows. A join walks the tuples that
+        agree with tup on their support. Both test membership by canonical
+        lookup."""
+        unpack = self.packing.unpack
+        closure = functools.partial(_Closure, packing=self.packing)
         colors = [0] * self.tree.graph.n
         work = [(self.tree.root, tup)]
         while work:
@@ -632,15 +637,17 @@ class _TupleDP:
             else:
                 partial = self.chain[node]
                 for i in range(len(node.children) - 1, 0, -1):
-                    child, left = node.children[i], partial[i - 1]
-                    right = _Closure(self.sets[child], self.packing)
-                    if node.kind == UNION:
+                    child = node.children[i]
+                    left, right = partial[i - 1], self.sets[child]
+                    if node.kind == JOIN:
+                        left, right = _join_witness(closure(left), closure(right), tup)
+                    elif len(left) <= len(right):
                         # a lean partial's least tuple is its least order
-                        left = map(self.packing.unpack, sorted(self._expand(left)))
-                        left, right = _sum_witness(left, right, tup)
+                        walk = map(unpack, sorted(self._expand(left)))
+                        left, right = _sum_witness(walk, closure(right), tup)
                     else:
-                        left = _Closure(left, self.packing)
-                        left, right = _join_witness(left, right, tup)
+                        walk = map(unpack, sorted(self._expand(right), reverse=True))
+                        right, left = _sum_witness(walk, closure(left), tup)
                     work.append((child, right))
                     tup = left
                 work.append((node.children[0], tup))
