@@ -231,12 +231,10 @@ def _module_alphas(root: MDNode) -> dict[MDNode, int]:
 
 
 def _restrict(root: MDNode, keep: int) -> MDNode | None:
-    """The cotree of the subgraph that the vertex mask `keep` induces,
-    from the cotree below root, vertices keeping their labels; None when
-    no vertex is kept. Dropped leaves go, a node left with one child is
-    that child, and a child of its parent's kind merges into it; children
-    stay ordered by minimum vertex, and a node that lost nothing is
-    reused."""
+    """The cotree below root restricted to the vertex mask `keep`, or
+    None when no vertex is kept: a node left with one child is that
+    child, a child of its parent's kind merges into it, children stay
+    ordered by least vertex, and a node that lost nothing is reused."""
     built: dict[MDNode, MDNode | None] = {}
     for node in root.bottom_up():
         children: list[MDNode] = []

@@ -27,24 +27,18 @@ The one program serves cographs and general graphs alike. It fills the
 node sets bottom-up and rebuilds top-down from a work list, so neither
 walk is bounded by the interpreter's recursion limit.
 
-Every feasible set is closed under permuting colours, so the program
-stores one tuple per permutation class: the tuple sorted ascending,
-packed into one int of k fixed-width fields, coordinate 0 most
-significant, so packed ints sort like their tuples. A field is wide
-enough for twice the graph's order, so a sum is one integer addition.
-For closed sets A and B, the sum (or join) of A and B is the closure of
-that of A's sorted tuples with all of B, so each fold runs one packed
-kernel on the left operand's sorted tuples and the right operand's
-expansion into every permutation, and keeps the sorted form of each
-result. The join kernel groups each operand by its zero pattern and,
-per pair of patterns, hashes one side on its projection onto the common
-support, so only compatible pairs are ever touched. `tuple_sum` and
-`tuple_join` pack their operands, run the same kernels and unpack.
-Sum and join results store no witnesses: rebuilding a partition
-expands one tuple per node and recovers, for that tuple only, the first
-pair in sorted order that combines to it, testing membership in a set
-by the sorted form of the tuple. Leaf and prime sets keep every tuple
-with its witness.
+Feasible sets are closed under permuting colours, so a node stores one
+tuple per permutation class, sorted ascending and packed into one int
+of k fields, coordinate 0 most significant, so packed ints sort like
+their tuples; a field holds twice the graph's order, so a sum is one
+integer addition. The sum or join of closed A and B is the closure of
+that of A's sorted tuples with all of B, so a fold runs one packed
+kernel on the two and keeps the sorted form of each result. The join
+groups each operand by its zero pattern and, per pair of patterns,
+hashes one side on its projection onto the common support, so only
+compatible pairs are ever touched. Sum and join results store no
+witnesses: rebuilding a partition recovers, for the one tuple it
+expands at a node, the first pair in sorted order that combines to it.
 
 Alongside the exact search, three constructive procedures realize the
 general upper bounds: stratified peeling (at most alpha classes), greedy
@@ -120,9 +114,8 @@ class FeasibleTupleSet:
     """Deduplicated, sorted set of feasible k-tuples. `witness` maps each
     tuple, in sorted order, to how it arose; sum and join results map
     every tuple to None, because rebuilding recovers their witnesses on
-    demand. `top` bounds every coordinate from above. The dynamic program
-    keeps one packed tuple per colour permutation class of its node sets
-    and builds this form, every permutation included, for its callers."""
+    demand. `top` bounds every coordinate from above. `_TupleDP` keeps
+    one packed tuple per colour permutation and expands to this form."""
 
     def __init__(self, k: int, witness: dict[Tuple, object]):
         if type(k) is not int or k < 1:
@@ -207,9 +200,10 @@ class _Packing:
     def permutations(self, a: int) -> list[int]:
         """Every distinct packed permutation of the coordinates of `a`."""
         t = self.unpack(a)
-        if self.k <= 5:  # at most 120 orders: itertools lists them fastest
+        if self.k <= 5:  # at most 120 orders, listed in C
             return self.pack(set(itertools.permutations(t)))
-        # insert each coordinate at every place, keeping distinct orders only
+        # k! orders soon outgrow the distinct ones: insert each coordinate
+        # at every place, keeping distinct orders only
         perms = {()}
         for v in t:
             perms = {p[:i] + (v,) + p[i:] for p in perms for i in range(len(p) + 1)}
@@ -346,16 +340,6 @@ def tuple_join(s1: FeasibleTupleSet, s2: FeasibleTupleSet) -> FeasibleTupleSet:
     return packing.result(out, max(s1.top, s2.top))
 
 
-def _least_join(s1: FeasibleTupleSet, s2: FeasibleTupleSet) -> FeasibleTupleSet:
-    """The least tuple of `tuple_join(s1, s2)` alone, or no tuple when
-    the join is empty."""
-    packing = _fold_packing(s1, s2)
-    # the Python loop walks the larger operand, and stops early
-    small, large = sorted((packing.pack(s1), packing.pack(s2)), key=len)
-    best = _least_join_packed(packing, large, small)
-    return packing.result(() if best is None else (best,), max(s1.top, s2.top))
-
-
 def _sum_witness(left, right, tup: Tuple) -> tuple[Tuple, Tuple]:
     """The first pair (t1, t2), t1 running through `left` in sorted order
     and t2 a member of `right`, with t1 + t2 == tup."""
@@ -429,17 +413,6 @@ class _PrimeColors:
         return False
 
 
-class _Memo(dict):
-    """A dict that fills a missing key from `fn` on first lookup."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __missing__(self, key):
-        self[key] = value = self.fn(key)
-        return value
-
-
 class _Closure:
     """Membership in the colour-permutation closure of a canonical set."""
 
@@ -456,11 +429,9 @@ class _TupleDP:
     """Feasible-tuple dynamic program over a modular decomposition tree,
     retaining per-node sets and fold intermediates so a witness tuple can
     be expanded back into a concrete partition. `sets` holds each node's
-    set in colour-canonical form (its tuples sorted ascending, packed at
-    one field width per DP); a lean node's is its least tuple alone.
-    `perms` and `canon` memoize the expansion of a canonical tuple and
-    the canonical form of a packed one. Prime nodes keep their full sets
-    with their combinations in `found`."""
+    sorted tuples, packed at one field width per DP; a lean node's is
+    its least tuple alone. Prime nodes keep their full sets with their
+    combinations in `found`."""
 
     def __init__(self, tree: MDTree, k: int, product_budget: int):
         self.tree = tree
@@ -471,8 +442,8 @@ class _TupleDP:
         self.found: dict[MDNode, dict[Tuple, object]] = {}
         self.chain: dict[MDNode, list[set[int]]] = {}
         self.lean: set[MDNode] = set()
-        self.perms = _Memo(packing.permutations)
-        self.canon = _Memo(packing.canonical)
+        self.perms = functools.cache(packing.permutations)
+        self.canon = functools.cache(packing.canonical)
         # unit tuples in sorted order, shared by every leaf of the tree
         units = [tuple(int(j == i - 1) for j in range(k)) for i in range(k, 0, -1)]
         witness = dict(zip(units, (("leaf", i) for i in range(k, 0, -1))))
@@ -481,7 +452,7 @@ class _TupleDP:
 
     def _expand(self, canonical) -> list[int]:
         """Every colour permutation of the canonical packed tuples."""
-        return [*itertools.chain.from_iterable(map(self.perms.__getitem__, canonical))]
+        return [*itertools.chain.from_iterable(map(self.perms, canonical))]
 
     def run(self, least: bool = False) -> Tuple | None:
         """The root's least feasible tuple, or None when its set is empty.
@@ -514,19 +485,16 @@ class _TupleDP:
         keeps its witnesses."""
         if node.kind == LEAF:
             return self.leaf
-        witness = self.found.get(node)
-        if witness is None:
-            tuples = map(self.packing.unpack, sorted(self._expand(self.sets[node])))
-            witness = dict.fromkeys(tuples)
-        return FeasibleTupleSet._result(self.k, witness, self.tree.graph.n)
+        if node in self.found:
+            return FeasibleTupleSet._result(self.k, self.found[node], self.tree.graph.n)
+        return self.packing.result(self._expand(self.sets[node]), self.tree.graph.n)
 
     def _fold_set(self, node: MDNode) -> set[int]:
         """The fold of the children's sets, left to right, keeping each
         partial result for `rebuild`. A lean union sums its children's
         least tuples: lexicographic order is translation invariant. A lean
-        join's last fold keeps its least tuple alone, which `rebuild`
-        never reads as a left operand: it walks the canonical tuples of
-        the operand that has more of them and indexes the other in full."""
+        join's last fold, which `rebuild` never reads as a left operand,
+        keeps its least tuple alone."""
         sets = [self.sets[c] for c in node.children]
         lean = node in self.lean
         if lean and node.kind == UNION:
@@ -536,7 +504,7 @@ class _TupleDP:
                 kernel = _sum_packed
             else:
                 kernel = functools.partial(_join_packed, self.packing)
-            canon = self.canon.__getitem__
+            canon = self.canon
             partial = [sets[0]]
             for s in sets[1:-1] if lean else sets[1:]:
                 out = kernel(partial[-1], self._expand(s))
@@ -613,16 +581,16 @@ class _TupleDP:
                     f" exceeds budget {budget}"
                 )
         self.found[node] = dict(sorted(found.items()))
-        return set(map(self.canon.__getitem__, self.packing.pack(found)))
+        return set(map(self.canon, self.packing.pack(found)))
 
     def rebuild(self, tup: Tuple) -> Partition:
         """Expand a root tuple top-down into a colouring: each node hands
         every child the tuple its witness names. A fold node recovers the
-        first pair (t1, t2) in sorted order. A union walks the side with
-        fewer canonical tuples in full: the left one up, or the right one
-        down, as t1 = tup - t2 then grows. A join walks the tuples that
-        agree with tup on their support. Both test membership by canonical
-        lookup."""
+        first pair (t1, t2) in sorted order, testing membership by
+        canonical lookup. A union walks the full expansion of the side
+        with fewer canonical tuples: the left one upwards, or the right
+        one downwards, as t1 = tup - t2 then grows. A join walks the
+        tuples that agree with tup on their support."""
         unpack = self.packing.unpack
         closure = functools.partial(_Closure, packing=self.packing)
         colors = [0] * self.tree.graph.n
@@ -637,19 +605,16 @@ class _TupleDP:
             else:
                 partial = self.chain[node]
                 for i in range(len(node.children) - 1, 0, -1):
-                    child = node.children[i]
-                    left, right = partial[i - 1], self.sets[child]
+                    left, right = partial[i - 1], self.sets[node.children[i]]
                     if node.kind == JOIN:
-                        left, right = _join_witness(closure(left), closure(right), tup)
+                        tup, t2 = _join_witness(closure(left), closure(right), tup)
                     elif len(left) <= len(right):
-                        # a lean partial's least tuple is its least order
                         walk = map(unpack, sorted(self._expand(left)))
-                        left, right = _sum_witness(walk, closure(right), tup)
+                        tup, t2 = _sum_witness(walk, closure(right), tup)
                     else:
                         walk = map(unpack, sorted(self._expand(right), reverse=True))
-                        right, left = _sum_witness(walk, closure(left), tup)
-                    work.append((child, right))
-                    tup = left
+                        t2, tup = _sum_witness(walk, closure(left), tup)
+                    work.append((node.children[i], t2))
                 work.append((node.children[0], tup))
         return Partition(self.k, tuple(colors))
 

@@ -36,7 +36,8 @@ from extpart.partition import (
     DEFAULT_PRODUCT_BUDGET,
     FeasibleTupleSet,
     _join_witness,
-    _least_join,
+    _least_join_packed,
+    _packing_for,
     _sum_witness,
     _TupleDP,
 )
@@ -146,9 +147,25 @@ def test_fold_kernels_match_all_pairs_reference(top):
 def test_least_join_is_the_least_tuple_of_the_join(top):
     empty = 0
     for left, right in _random_set_pairs(top):
+        packing = _packing_for(left.k, top)
         full = tuple_join(left, right)
         empty += not full
-        assert _least_join(left, right).tuples == full.tuples[:1]
+        least = _least_join_packed(packing, packing.pack(left), packing.pack(right))
+        assert least == (packing.pack(full.tuples[:1]) or [None])[0]
+        # permutation-closed operands, as in the DP: the canonical tuples
+        # of one walked against the other in full, least canonical join
+        closed = [
+            fts(left.k, *{p for t in s for p in itertools.permutations(t)})
+            for s in (left, right)
+        ]
+        full = tuple_join(*closed)
+        expected = [packing.canonical(a) for a in packing.pack(full.tuples[:1])]
+        for walked, indexed in (closed, closed[::-1]):
+            canon = sorted({packing.canonical(a) for a in packing.pack(walked)})
+            least = _least_join_packed(
+                packing, canon, packing.pack(indexed), key=packing.canonical
+            )
+            assert least == (expected or [None])[0]
     assert 0 < empty < 60  # both kinds of join occur
 
 
@@ -256,7 +273,7 @@ def test_cograph_root_sets_match_all_pairs_reference_and_are_permutation_closed(
             assert all(set(itertools.permutations(tup)) <= closed for tup in got)
             nonempty += bool(got)
     assert nonempty > 40
-    # beyond five colours the distinct orders are listed another way
+    # more colours, where a tuple has up to k! distinct orders
     for g in [random_cograph(rng, 7) for _ in range(4)]:
         t = decompose(g)
         for k in (6, 7):
