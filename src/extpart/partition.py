@@ -28,17 +28,19 @@ node sets bottom-up and rebuilds top-down from a work list, so neither
 walk is bounded by the interpreter's recursion limit.
 
 Feasible sets are closed under permuting colours, so a node stores one
-tuple per permutation class, sorted ascending and packed into one int
-of k fields, coordinate 0 most significant, so packed ints sort like
-their tuples; a field holds twice the graph's order, so a sum is one
-integer addition. The sum or join of closed A and B is the closure of
-that of A's sorted tuples with all of B, so a fold runs one packed
-kernel on the two and keeps the sorted form of each result. The join
-groups each operand by its zero pattern and, per pair of patterns,
-hashes one side on its projection onto the common support, so only
-compatible pairs are ever touched. Sum and join results store no
-witnesses: rebuilding a partition recovers, for the one tuple it
-expands at a node, the first pair in sorted order that combines to it.
+tuple per permutation class, sorted ascending and packed into one int of
+k fields, coordinate 0 most significant, so packed ints sort like their
+tuples; a field holds twice the graph's order, so a sum is one integer
+addition. The sum or join of closed A and B is the closure of that of
+A's sorted tuples with all of B, so a fold runs one packed kernel on the
+two and keeps the sorted form of each result; packings, and their memos
+of sorted forms and permutations, serve every DP. The join groups each
+operand by its zero pattern and, per pair of patterns, hashes one side
+on its projection onto the common support, so only compatible pairs are
+ever touched. Only prime nodes store witnesses: a leaf's unit tuple
+names its colour, and rebuilding a partition recovers, for the one tuple
+it expands at a fold node, the first pair in sorted order that combines
+to it.
 
 Alongside the exact search, three constructive procedures realize the
 general upper bounds: stratified peeling (at most alpha classes), greedy
@@ -107,15 +109,15 @@ class Partition:
         return [tuple(cls) for cls in out]
 
     def nonempty_count(self) -> int:
-        return sum(1 for cls in self.classes() if cls)
+        return len(set(self.color))
 
 
 class FeasibleTupleSet:
     """Deduplicated, sorted set of feasible k-tuples. `witness` maps each
-    tuple, in sorted order, to how it arose; sum and join results map
-    every tuple to None, because rebuilding recovers their witnesses on
-    demand. `top` bounds every coordinate from above. `_TupleDP` keeps
-    one packed tuple per colour permutation and expands to this form."""
+    tuple, in sorted order, to how it arose: a prime node's combination,
+    or None, because rebuilding recovers every other witness on demand.
+    `_TupleDP` keeps one packed tuple per colour permutation and expands
+    to this form."""
 
     def __init__(self, k: int, witness: dict[Tuple, object]):
         if type(k) is not int or k < 1:
@@ -129,24 +131,20 @@ class FeasibleTupleSet:
                 raise InputError(
                     f"feasible {k}-tuple must hold {k} non-negative ints, got {tup!r}"
                 )
-        top = max(map(max, witness), default=0)
-        self._fill(k, dict(sorted(witness.items())), top)
+        self._fill(k, dict(sorted(witness.items())))
 
     @classmethod
-    def _result(
-        cls, k: int, witness: dict[Tuple, object], top: int
-    ) -> "FeasibleTupleSet":
+    def _result(cls, k: int, witness: dict[Tuple, object]) -> "FeasibleTupleSet":
         """A set the DP computed from checked operands, skipping the check;
         `witness` must list its tuples in sorted order."""
         fts = cls.__new__(cls)
-        fts._fill(k, witness, top)
+        fts._fill(k, witness)
         return fts
 
-    def _fill(self, k: int, witness: dict[Tuple, object], top: int) -> None:
+    def _fill(self, k: int, witness: dict[Tuple, object]) -> None:
         self.k = k
         self.witness = witness
         self.tuples: tuple[Tuple, ...] = tuple(witness)
-        self.top = top
 
     def __len__(self) -> int:
         return len(self.tuples)
@@ -172,7 +170,8 @@ class _Packing:
     most significant, so packed ints sort like their tuples. Callers pick
     fields that hold twice the largest coordinate, so adding two packed
     tuples never carries into the next field, and a coordinate leaves
-    its field's top bit clear."""
+    its field's top bit clear. `canonical` and `permutations` are
+    memoized with a bound, since a packing serves the whole process."""
 
     def __init__(self, k: int, nbytes: int):
         self.k = k
@@ -183,6 +182,8 @@ class _Packing:
         self.high = low << self.shift
         # adding 2**shift - 1 sets a field's top bit iff the field is non-zero
         self.nonzero_carry = low * ((1 << self.shift) - 1)
+        self.canonical = functools.lru_cache(2**13)(self._canonical)
+        self.permutations = functools.lru_cache(2**12)(self._permutations)
 
     def pack(self, tuples) -> list[int]:
         pack = self.struct.pack
@@ -191,23 +192,24 @@ class _Packing:
     def unpack(self, a: int) -> Tuple:
         return self.struct.unpack(a.to_bytes(self.struct.size, "big"))
 
-    def canonical(self, a: int) -> int:
+    def _canonical(self, a: int) -> int:
         """The packed tuple with the coordinates of `a` sorted ascending."""
         st = self.struct
         tup = sorted(st.unpack(a.to_bytes(st.size, "big")))
         return int.from_bytes(st.pack(*tup), "big")
 
-    def permutations(self, a: int) -> list[int]:
-        """Every distinct packed permutation of the coordinates of `a`."""
-        t = self.unpack(a)
-        if self.k <= 5:  # at most 120 orders, listed in C
-            return self.pack(set(itertools.permutations(t)))
-        # k! orders soon outgrow the distinct ones: insert each coordinate
-        # at every place, keeping distinct orders only
+    def _permutations(self, a: int) -> tuple[int, ...]:
+        """Every distinct packed permutation of the coordinates of `a`.
+        k! orders soon outgrow the distinct ones, so each coordinate is
+        inserted at every place, keeping distinct orders only."""
         perms = {()}
-        for v in t:
+        for v in self.unpack(a):
             perms = {p[:i] + (v,) + p[i:] for p in perms for i in range(len(p) + 1)}
-        return self.pack(perms)
+        return tuple(self.pack(perms))
+
+    def expand(self, canonical) -> list[int]:
+        """Every colour permutation of the canonical packed tuples."""
+        return [*itertools.chain.from_iterable(map(self.permutations, canonical))]
 
     def by_pattern(self, packed) -> dict[int, list[int]]:
         """Packed tuples grouped by their top-bit pattern of non-zero fields."""
@@ -217,14 +219,12 @@ class _Packing:
             groups.setdefault((a + carry) & high, []).append(a)
         return groups
 
-    def result(self, packed, top: int) -> FeasibleTupleSet:
+    def result(self, packed) -> FeasibleTupleSet:
         tuples = map(self.unpack, sorted(packed))
-        return FeasibleTupleSet._result(self.k, dict.fromkeys(tuples), top)
+        return FeasibleTupleSet._result(self.k, dict.fromkeys(tuples))
 
 
-@functools.cache
-def _packing(k: int, nbytes: int) -> _Packing:
-    return _Packing(k, nbytes)
+_packing = functools.cache(_Packing)
 
 
 def _packing_for(k: int, top: int) -> _Packing:
@@ -238,7 +238,7 @@ def _packing_for(k: int, top: int) -> _Packing:
 def _fold_packing(s1: FeasibleTupleSet, s2: FeasibleTupleSet) -> _Packing:
     if s1.k != s2.k:
         raise InputError(f"tuple arity mismatch: {s1.k} vs {s2.k}")
-    return _packing_for(s1.k, max(s1.top, s2.top))
+    return _packing_for(s1.k, max(itertools.chain(*s1, *s2), default=0))
 
 
 def _sum_packed(left, right) -> set[int]:
@@ -282,21 +282,20 @@ def _join_packed(packing: _Packing, left, right) -> set[int]:
     return out
 
 
-def _least_join_packed(packing: _Packing, walk, index, key=None) -> int | None:
-    """The least packed join a | b of compatible a in `walk` and b in
-    `index`, both sorted, or None when no pair is compatible; with `key`,
-    the least key(a | b). Walks `walk` in sorted order and probes the
-    other operand's zero-pattern groups, each hashed on the common
-    support as in `_join_packed`, for the least compatible partner.
+def _least_join_packed(packing: _Packing, walk, index) -> int | None:
+    """The least canonical form of a packed join a | b of compatible a in
+    `walk` and b in `index`, both sorted, `walk` holding canonical tuples,
+    or None when no pair is compatible. Walks `walk` in sorted order and
+    probes the other operand's zero-pattern groups, each hashed on the
+    common support as in `_join_packed`, for the least compatible partner.
 
-    A join is at least each of its operands, so the walk stops at the
-    first a that is at least the best join found. Within one bucket
-    every b agrees with a on a's support, so a | b grows with b: a
-    bucket keeps its least member alone. Both hold for the canonical
-    form as `key` too, when the walked tuples are canonical: the sorted
-    join is then at least a, and b varies only on a's leading zeros,
-    where the least b has the least sorted values."""
-    shift, field = packing.shift, packing.field
+    A canonical a has its zeros first, and a | b is at least a in every
+    field, so the sorted join is at least a: the walk stops at the first
+    a that is at least the best found. Within one bucket every b agrees
+    with a on a's support and varies only on a's leading zeros, where the
+    least b has the least sorted values: a bucket keeps its least member
+    alone."""
+    shift, field, canonical = packing.shift, packing.field, packing.canonical
     carry, high = packing.nonzero_carry, packing.high
     # per pattern of the indexed operand: its group, and its index per
     # overlap, built on first use
@@ -318,7 +317,7 @@ def _least_join_packed(packing: _Packing, walk, index, key=None) -> int | None:
                     bucket.setdefault(b & overlap, b)
             b = bucket.get(a & overlap)
             if b is not None:
-                joined = a | b if key is None else key(a | b)
+                joined = canonical(a | b)
                 if best is None or joined < best:
                     best = joined
     return best
@@ -327,8 +326,7 @@ def _least_join_packed(packing: _Packing, walk, index, key=None) -> int | None:
 def tuple_sum(s1: FeasibleTupleSet, s2: FeasibleTupleSet) -> FeasibleTupleSet:
     """Pairwise componentwise sums (the disjoint-union combination)."""
     packing = _fold_packing(s1, s2)
-    out = _sum_packed(packing.pack(s1), packing.pack(s2))
-    return packing.result(out, s1.top + s2.top)
+    return packing.result(_sum_packed(packing.pack(s1), packing.pack(s2)))
 
 
 def tuple_join(s1: FeasibleTupleSet, s2: FeasibleTupleSet) -> FeasibleTupleSet:
@@ -336,8 +334,7 @@ def tuple_join(s1: FeasibleTupleSet, s2: FeasibleTupleSet) -> FeasibleTupleSet:
     coordinate must agree, except that a 0 on either side defers to the
     other side's value."""
     packing = _fold_packing(s1, s2)
-    out = _join_packed(packing, packing.pack(s1), packing.pack(s2))
-    return packing.result(out, max(s1.top, s2.top))
+    return packing.result(_join_packed(packing, packing.pack(s1), packing.pack(s2)))
 
 
 def _sum_witness(left, right, tup: Tuple) -> tuple[Tuple, Tuple]:
@@ -429,30 +426,20 @@ class _TupleDP:
     """Feasible-tuple dynamic program over a modular decomposition tree,
     retaining per-node sets and fold intermediates so a witness tuple can
     be expanded back into a concrete partition. `sets` holds each node's
-    sorted tuples, packed at one field width per DP; a lean node's is
-    its least tuple alone. Prime nodes keep their full sets with their
-    combinations in `found`."""
+    canonical tuples, packed at one field width per DP, which the
+    packing expands; a lean node's is its least tuple alone. A leaf's is
+    the unit tuple, whose 1 names its colour. Prime nodes keep their
+    full sets with their combinations in `found`."""
 
     def __init__(self, tree: MDTree, k: int, product_budget: int):
         self.tree = tree
         self.k = k
         self.budget = product_budget
-        self.packing = packing = _packing_for(k, tree.graph.n)
+        self.packing = _packing_for(k, tree.graph.n)
         self.sets: dict[MDNode, set[int]] = {}
         self.found: dict[MDNode, dict[Tuple, object]] = {}
         self.chain: dict[MDNode, list[set[int]]] = {}
         self.lean: set[MDNode] = set()
-        self.perms = functools.cache(packing.permutations)
-        self.canon = functools.cache(packing.canonical)
-        # unit tuples in sorted order, shared by every leaf of the tree
-        units = [tuple(int(j == i - 1) for j in range(k)) for i in range(k, 0, -1)]
-        witness = dict(zip(units, (("leaf", i) for i in range(k, 0, -1))))
-        self.leaf = FeasibleTupleSet._result(k, witness, 1)
-        self.leaf_set = set(packing.pack(units[:1]))
-
-    def _expand(self, canonical) -> list[int]:
-        """Every colour permutation of the canonical packed tuples."""
-        return [*itertools.chain.from_iterable(map(self.perms, canonical))]
 
     def run(self, least: bool = False) -> Tuple | None:
         """The root's least feasible tuple, or None when its set is empty.
@@ -469,7 +456,7 @@ class _TupleDP:
                 work.extend(node.children)
         for node in root.bottom_up():
             if node.kind == LEAF:
-                s = self.leaf_set
+                s = {1}  # the canonical unit tuple (0, ..., 0, 1), packed
             elif node.kind == PRIME:
                 s = self._prime_set(node, node in self.lean)
             else:
@@ -481,13 +468,11 @@ class _TupleDP:
 
     def full(self, node: MDNode) -> FeasibleTupleSet:
         """The node's full feasible set in sorted order: its canonical
-        tuples with every colour permutation. A leaf or prime node's set
-        keeps its witnesses."""
-        if node.kind == LEAF:
-            return self.leaf
+        tuples with every colour permutation. A prime node's set keeps its
+        witnesses."""
         if node in self.found:
-            return FeasibleTupleSet._result(self.k, self.found[node], self.tree.graph.n)
-        return self.packing.result(self._expand(self.sets[node]), self.tree.graph.n)
+            return FeasibleTupleSet._result(self.k, self.found[node])
+        return self.packing.result(self.packing.expand(self.sets[node]))
 
     def _fold_set(self, node: MDNode) -> set[int]:
         """The fold of the children's sets, left to right, keeping each
@@ -496,23 +481,22 @@ class _TupleDP:
         join's last fold, which `rebuild` never reads as a left operand,
         keeps its least tuple alone."""
         sets = [self.sets[c] for c in node.children]
-        lean = node in self.lean
+        lean, packing = node in self.lean, self.packing
         if lean and node.kind == UNION:
             partial = [*itertools.accumulate(sets, lambda a, b: {min(a) + min(b)})]
         else:
             if node.kind == UNION:
                 kernel = _sum_packed
             else:
-                kernel = functools.partial(_join_packed, self.packing)
-            canon = self.canon
+                kernel = functools.partial(_join_packed, packing)
             partial = [sets[0]]
             for s in sets[1:-1] if lean else sets[1:]:
-                out = kernel(partial[-1], self._expand(s))
-                partial.append(set(map(canon, out)))
+                out = kernel(partial[-1], packing.expand(s))
+                partial.append(set(map(packing.canonical, out)))
             if lean:
                 walk, other = sorted((partial[-1], sets[-1]), key=len, reverse=True)
-                index = sorted(self._expand(other))
-                best = _least_join_packed(self.packing, sorted(walk), index, canon)
+                index = sorted(packing.expand(other))
+                best = _least_join_packed(packing, sorted(walk), index)
                 partial.append(set() if best is None else {best})
         self.chain[node] = partial
         return partial[-1]
@@ -581,7 +565,7 @@ class _TupleDP:
                     f" exceeds budget {budget}"
                 )
         self.found[node] = dict(sorted(found.items()))
-        return set(map(self.canon, self.packing.pack(found)))
+        return set(map(self.packing.canonical, self.packing.pack(found)))
 
     def rebuild(self, tup: Tuple) -> Partition:
         """Expand a root tuple top-down into a colouring: each node hands
@@ -591,7 +575,7 @@ class _TupleDP:
         with fewer canonical tuples: the left one upwards, or the right
         one downwards, as t1 = tup - t2 then grows. A join walks the
         tuples that agree with tup on their support."""
-        unpack = self.packing.unpack
+        unpack, expand = self.packing.unpack, self.packing.expand
         closure = functools.partial(_Closure, packing=self.packing)
         colors = [0] * self.tree.graph.n
         work = [(self.tree.root, tup)]
@@ -599,7 +583,7 @@ class _TupleDP:
             node, tup = work.pop()
             if node.kind == LEAF:
                 assert node.vertex is not None
-                colors[node.vertex] = self.leaf.witness[tup][1]
+                colors[node.vertex] = tup.index(1) + 1
             elif node.kind == PRIME:
                 work.extend(zip(node.children, self.found[node][tup][1]))
             else:
@@ -609,10 +593,10 @@ class _TupleDP:
                     if node.kind == JOIN:
                         tup, t2 = _join_witness(closure(left), closure(right), tup)
                     elif len(left) <= len(right):
-                        walk = map(unpack, sorted(self._expand(left)))
+                        walk = map(unpack, sorted(expand(left)))
                         tup, t2 = _sum_witness(walk, closure(right), tup)
                     else:
-                        walk = map(unpack, sorted(self._expand(right), reverse=True))
+                        walk = map(unpack, sorted(expand(right), reverse=True))
                         t2, tup = _sum_witness(walk, closure(left), tup)
                     work.append((node.children[i], t2))
                 work.append((node.children[0], tup))
@@ -664,8 +648,11 @@ def chi_1ext(
     combinations reached plus the branches pruned, a part of the
     product, for each k. Every other node builds its full set, and a
     prime node there refuses a product over `product_budget` before
-    starting. Raises ResourceLimitError when the budget runs out.
+    starting. Raises ResourceLimitError when the budget runs out, and
+    InputError on a negative max_k.
     """
+    if max_k is not None and max_k < 0:
+        raise InputError(f"max_k must be non-negative, got {max_k}")
     if g.n == 0:
         return 0, Partition(0, ())
     tree = decompose(g)
@@ -694,9 +681,12 @@ def verify_partition(g: Graph, p: Partition) -> bool:
         raise InputError(
             f"partition covers {len(p.color)} vertices, graph has {g.n}"
         )
+    # one mask per colour that occurs: the colour numbers may be huge
+    masks: dict[int, int] = {}
+    for v, c in enumerate(p.color):
+        masks[c] = masks.get(c, 0) | 1 << v
     nbr, unit = g.neighbor_masks(), (1,) * g.n
-    for cls in p.classes():
-        mask = sum(1 << v for v in cls)
+    for mask in masks.values():
         if _split_cover(mask, nbr, unit, until_miss=True)[1] != mask:
             return False
     return True

@@ -230,6 +230,10 @@ def test_cli_chi_max_k(tmp_path, capsys):
     f.write_text(serialize_graph_document(graph_to_document(g)))
     assert main(["chi", str(f), "--max-k", "2"]) == 1
     assert "chi_1ext > 2" in capsys.readouterr().out
+    assert main(["chi", str(f), "--max-k", "0"]) == 1
+    assert "chi_1ext > 0" in capsys.readouterr().out
+    assert main(["chi", str(f), "--max-k", "-1"]) == 2
+    assert "chi_1ext" not in capsys.readouterr().out
 
 
 def test_cli_chi_dot_export(tmp_path):
@@ -249,6 +253,21 @@ def test_cli_verify_rejects_bad_certificates(tmp_path, capsys):
     missing = tmp_path / "missing.txt"
     missing.write_text("0 1\n1 1\n2 1\n")
     assert main(["verify", str(f), str(missing)]) == 2
+
+
+def test_cli_verify_huge_colour_numbers(tmp_path, capsys):
+    # the cost follows the vertices, not the largest colour number
+    f = tmp_path / "bottom.json"
+    f.write_text(BOTTOM_JSON)
+    huge = 10**12
+    proper = tmp_path / "proper.txt"
+    proper.write_text(f"0 1\n1 {huge}\n2 1\n3 3\n")
+    assert main(["verify", str(f), str(proper)]) == 0
+    assert "yes" in capsys.readouterr().out
+    single = tmp_path / "single.txt"
+    single.write_text("".join(f"{v} {huge}\n" for v in range(4)))
+    assert main(["verify", str(f), str(single)]) == 1
+    assert "no" in capsys.readouterr().out
 
 
 def test_cli_pv(tmp_path, capsys):

@@ -37,6 +37,7 @@ from extpart.partition import (
     FeasibleTupleSet,
     _join_witness,
     _least_join_packed,
+    _packing,
     _packing_for,
     _sum_witness,
     _TupleDP,
@@ -148,10 +149,6 @@ def test_least_join_is_the_least_tuple_of_the_join(top):
     empty = 0
     for left, right in _random_set_pairs(top):
         packing = _packing_for(left.k, top)
-        full = tuple_join(left, right)
-        empty += not full
-        least = _least_join_packed(packing, packing.pack(left), packing.pack(right))
-        assert least == (packing.pack(full.tuples[:1]) or [None])[0]
         # permutation-closed operands, as in the DP: the canonical tuples
         # of one walked against the other in full, least canonical join
         closed = [
@@ -159,14 +156,32 @@ def test_least_join_is_the_least_tuple_of_the_join(top):
             for s in (left, right)
         ]
         full = tuple_join(*closed)
+        empty += not full
         expected = [packing.canonical(a) for a in packing.pack(full.tuples[:1])]
         for walked, indexed in (closed, closed[::-1]):
             canon = sorted({packing.canonical(a) for a in packing.pack(walked)})
-            least = _least_join_packed(
-                packing, canon, packing.pack(indexed), key=packing.canonical
-            )
+            least = _least_join_packed(packing, canon, packing.pack(indexed))
             assert least == (expected or [None])[0]
     assert 0 < empty < 60  # both kinds of join occur
+
+
+@pytest.mark.parametrize("nbytes", [1, 2, 4, 8])
+def test_permutations_are_the_distinct_orders(nbytes):
+    # coordinates up to the largest that leaves the field's top bit clear
+    top = (1 << 8 * nbytes - 1) - 1
+    rng = random.Random(nbytes)
+    values = [0, 1, 2, top, rng.randint(3, top)]
+    for k in range(1, 9):
+        packing = _packing(k, nbytes)
+        tuples = [tuple(range(k)), (0,) * k, (top,) * k]
+        tuples += [tuple(rng.choice(values) for _ in range(k)) for _ in range(4)]
+        for t in tuples:
+            got = packing.permutations(packing.pack([t])[0])
+            assert isinstance(got, tuple)
+            assert sorted(got) == sorted(packing.pack(set(itertools.permutations(t))))
+        # shared by every DP of the process, so bounded
+        assert packing.canonical.cache_info().maxsize
+        assert packing.permutations.cache_info().maxsize
 
 
 def test_fold_kernels_edge_cases():
@@ -551,6 +566,11 @@ def test_chi_max_k_cutoff():
     assert chi_1ext(g, max_k=2) is None
     k, _ = chi_1ext(g, max_k=3)
     assert k == 3
+    assert chi_1ext(g, max_k=0) is None
+    assert chi_1ext(empty_graph(0), max_k=0) == (0, Partition(0, ()))
+    for h in (g, empty_graph(0)):
+        with pytest.raises(InputError, match="max_k"):
+            chi_1ext(h, max_k=-1)
 
 
 def test_peel_1_extendable_single_class():
@@ -683,6 +703,14 @@ def test_verify_partition_cases():
     assert not verify_partition(g, Partition(1, (1, 1, 1, 1)))
     with pytest.raises(InputError):
         verify_partition(g, Partition(1, (1, 1, 1)))
+
+
+def test_verify_partition_cost_follows_the_colours_used():
+    # a class per colour 1..k would not fit in memory
+    g, huge = fig1_bottom(), 10**12
+    assert verify_partition(g, Partition(huge, (1, huge, 1, 3)))
+    assert not verify_partition(g, Partition(huge, (huge,) * 4))
+    assert Partition(huge, (1, huge, 1, 3)).nonempty_count() == 3
 
 
 def test_hardness_gadget_equivalence_small():
