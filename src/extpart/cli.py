@@ -300,8 +300,9 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ResourceLimitError as exc:
-        print(f"resource budget exceeded: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        message = str(exc) or "out of memory"
+        print(f"resource budget exceeded: {message}", file=sys.stderr)
         return 3
 
 

@@ -270,23 +270,27 @@ def mis_covered_vertices(g: Graph) -> VertexSet:
     return tuple(_bits(_unit_cover(g)[1]))
 
 
-def maximum_independent_set(g: Graph) -> VertexSet:
-    """The lexicographically smallest maximum independent set."""
-    nbr = g.neighbor_masks()
-    w = (1,) * g.n
-    cand = (1 << g.n) - 1
-    remaining = _heaviest(cand, nbr, w)[0]
-    chosen = []
+def _least_mis(mask: int, nbr: Sequence[int]) -> tuple[int, int]:
+    """(alpha, set mask) of the lexicographically smallest maximum
+    independent set within a vertex mask."""
+    w = (1,) * len(nbr)
+    a = remaining = _heaviest(mask, nbr, w)[0]
+    chosen = 0
     while remaining > 0:
         need = remaining - 1
-        for v in _bits(cand):
-            rest = cand & ~nbr[v] & ~(1 << v)
+        for v in _bits(mask):
+            rest = mask & ~nbr[v] & ~(1 << v)
             if _heaviest(rest, nbr, w, need - 1, need)[0] == need:
-                chosen.append(v)
-                cand = rest
+                chosen |= 1 << v
+                mask = rest
                 remaining = need
                 break
-    return tuple(chosen)
+    return a, chosen
+
+
+def maximum_independent_set(g: Graph) -> VertexSet:
+    """The lexicographically smallest maximum independent set."""
+    return tuple(_bits(_least_mis((1 << g.n) - 1, g.neighbor_masks())[1]))
 
 
 def weighted_profile(h: WeightedGraph) -> tuple[int, VertexSet]:

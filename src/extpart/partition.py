@@ -37,10 +37,10 @@ two and keeps the sorted form of each result; packings, and their memos
 of sorted forms and permutations, serve every DP. The join groups each
 operand by its zero pattern and, per pair of patterns, hashes one side
 on its projection onto the common support, so only compatible pairs are
-ever touched. Only prime nodes store witnesses: a leaf's unit tuple
-names its colour, and rebuilding a partition recovers, for the one tuple
-it expands at a fold node, the first pair in sorted order that combines
-to it.
+ever touched. Only prime nodes store witnesses, inside the DP: a leaf's
+unit tuple names its colour, a lean union's children take their least
+tuples, and any other fold node recovers the first pair in sorted order
+that combines to the one tuple it expands.
 
 Alongside the exact search, three constructive procedures realize the
 general upper bounds: stratified peeling (at most alpha classes), greedy
@@ -58,15 +58,9 @@ import struct
 from dataclasses import dataclass
 
 from .errors import InputError, ResourceLimitError
-from .graphs import Graph, VertexSet, _bits, induced_subgraph
-from .independent_sets import (
-    _cover,
-    _heaviest,
-    _split_cover,
-    alpha,
-    is_1ext_oracle,
-    maximum_independent_set,
-)
+from .graphs import Graph, _bits
+from .independent_sets import _cover, _heaviest, _least_mis, _split_cover
+from .independent_sets import is_1ext_oracle
 from .moddecomp import (
     JOIN,
     LEAF,
@@ -101,28 +95,21 @@ class Partition:
             if not (1 <= c <= self.k):
                 raise InputError(f"color {c} outside 1..{self.k}")
 
-    def classes(self) -> list[VertexSet]:
-        """Vertex sets per color 1..k (possibly empty)."""
-        out: list[list[int]] = [[] for _ in range(self.k)]
-        for v, c in enumerate(self.color):
-            out[c - 1].append(v)
-        return [tuple(cls) for cls in out]
-
     def nonempty_count(self) -> int:
         return len(set(self.color))
 
 
 class FeasibleTupleSet:
-    """Deduplicated, sorted set of feasible k-tuples. `witness` maps each
-    tuple, in sorted order, to how it arose: a prime node's combination,
-    or None, because rebuilding recovers every other witness on demand.
-    `_TupleDP` keeps one packed tuple per colour permutation and expands
-    to this form."""
+    """A plain value: the deduplicated, sorted feasible k-tuples of any
+    iterable of tuples. `_TupleDP` keeps one packed tuple per colour
+    permutation, and witnesses of its own, and expands to this form."""
 
-    def __init__(self, k: int, witness: dict[Tuple, object]):
+    def __init__(self, k: int, tuples):
         if type(k) is not int or k < 1:
             raise InputError(f"class count k must be an int of at least 1, got {k!r}")
-        for tup in witness:
+        # checked before duplicates collapse, since (True, 0) == (1, 0)
+        tuples = list(tuples)
+        for tup in tuples:
             if not (
                 isinstance(tup, tuple)
                 and len(tup) == k
@@ -131,29 +118,22 @@ class FeasibleTupleSet:
                 raise InputError(
                     f"feasible {k}-tuple must hold {k} non-negative ints, got {tup!r}"
                 )
-        self._fill(k, dict(sorted(witness.items())))
+        tuples = tuple(sorted(set(tuples)))
+        self.k, self.tuples, self._members = k, tuples, frozenset(tuples)
 
     @classmethod
-    def _result(cls, k: int, witness: dict[Tuple, object]) -> "FeasibleTupleSet":
+    def _result(cls, k: int, tuples: tuple[Tuple, ...]) -> "FeasibleTupleSet":
         """A set the DP computed from checked operands, skipping the check;
-        `witness` must list its tuples in sorted order."""
+        `tuples` must be distinct and sorted."""
         fts = cls.__new__(cls)
-        fts._fill(k, witness)
+        fts.k, fts.tuples, fts._members = k, tuples, frozenset(tuples)
         return fts
-
-    def _fill(self, k: int, witness: dict[Tuple, object]) -> None:
-        self.k = k
-        self.witness = witness
-        self.tuples: tuple[Tuple, ...] = tuple(witness)
 
     def __len__(self) -> int:
         return len(self.tuples)
 
-    def __bool__(self) -> bool:
-        return bool(self.tuples)
-
     def __contains__(self, tup: Tuple) -> bool:
-        return tup in self.witness
+        return tup in self._members
 
     def __iter__(self):
         return iter(self.tuples)
@@ -219,9 +199,8 @@ class _Packing:
             groups.setdefault((a + carry) & high, []).append(a)
         return groups
 
-    def result(self, packed) -> FeasibleTupleSet:
-        tuples = map(self.unpack, sorted(packed))
-        return FeasibleTupleSet._result(self.k, dict.fromkeys(tuples))
+    def result(self, packed) -> tuple[Tuple, ...]:
+        return tuple(map(self.unpack, sorted(packed)))
 
 
 _packing = functools.cache(_Packing)
@@ -326,7 +305,8 @@ def _least_join_packed(packing: _Packing, walk, index) -> int | None:
 def tuple_sum(s1: FeasibleTupleSet, s2: FeasibleTupleSet) -> FeasibleTupleSet:
     """Pairwise componentwise sums (the disjoint-union combination)."""
     packing = _fold_packing(s1, s2)
-    return packing.result(_sum_packed(packing.pack(s1), packing.pack(s2)))
+    sums = _sum_packed(packing.pack(s1), packing.pack(s2))
+    return FeasibleTupleSet._result(s1.k, packing.result(sums))
 
 
 def tuple_join(s1: FeasibleTupleSet, s2: FeasibleTupleSet) -> FeasibleTupleSet:
@@ -334,7 +314,8 @@ def tuple_join(s1: FeasibleTupleSet, s2: FeasibleTupleSet) -> FeasibleTupleSet:
     coordinate must agree, except that a 0 on either side defers to the
     other side's value."""
     packing = _fold_packing(s1, s2)
-    return packing.result(_join_packed(packing, packing.pack(s1), packing.pack(s2)))
+    joins = _join_packed(packing, packing.pack(s1), packing.pack(s2))
+    return FeasibleTupleSet._result(s1.k, packing.result(joins))
 
 
 def _sum_witness(left, right, tup: Tuple) -> tuple[Tuple, Tuple]:
@@ -424,20 +405,19 @@ class _Closure:
 
 class _TupleDP:
     """Feasible-tuple dynamic program over a modular decomposition tree,
-    retaining per-node sets and fold intermediates so a witness tuple can
-    be expanded back into a concrete partition. `sets` holds each node's
-    canonical tuples, packed at one field width per DP, which the
-    packing expands; a lean node's is its least tuple alone. A leaf's is
-    the unit tuple, whose 1 names its colour. Prime nodes keep their
-    full sets with their combinations in `found`."""
+    retaining per-node sets, fold intermediates and witnesses so a root
+    tuple can be expanded back into a concrete partition. `sets` holds
+    each node's canonical tuples, packed at one field width per DP,
+    which the packing expands; a lean node's is its least tuple alone. A
+    leaf's is the unit tuple, whose 1 names its colour. A prime node's
+    `found` maps each of its tuples to its combination of child tuples."""
 
     def __init__(self, tree: MDTree, k: int, product_budget: int):
         self.tree = tree
-        self.k = k
         self.budget = product_budget
         self.packing = _packing_for(k, tree.graph.n)
         self.sets: dict[MDNode, set[int]] = {}
-        self.found: dict[MDNode, dict[Tuple, object]] = {}
+        self.found: dict[MDNode, dict[Tuple, tuple[Tuple, ...]]] = {}
         self.chain: dict[MDNode, list[set[int]]] = {}
         self.lean: set[MDNode] = set()
 
@@ -466,38 +446,36 @@ class _TupleDP:
                 return None
         return self.packing.unpack(min(self.sets[root])) if self.sets[root] else None
 
-    def full(self, node: MDNode) -> FeasibleTupleSet:
+    def full(self, node: MDNode) -> tuple[Tuple, ...]:
         """The node's full feasible set in sorted order: its canonical
-        tuples with every colour permutation. A prime node's set keeps its
-        witnesses."""
+        tuples with every colour permutation, or a prime node's tuples in
+        `found`."""
         if node in self.found:
-            return FeasibleTupleSet._result(self.k, self.found[node])
+            return tuple(self.found[node])
         return self.packing.result(self.packing.expand(self.sets[node]))
 
     def _fold_set(self, node: MDNode) -> set[int]:
         """The fold of the children's sets, left to right, keeping each
-        partial result for `rebuild`. A lean union sums its children's
-        least tuples: lexicographic order is translation invariant. A lean
-        join's last fold, which `rebuild` never reads as a left operand,
-        keeps its least tuple alone."""
+        partial result for `rebuild`, but a lean union's: it is the sum of
+        its children's least tuples, lexicographic order being translation
+        invariant. A lean join's last fold, which `rebuild` never reads as
+        a left operand, keeps its least tuple alone."""
         sets = [self.sets[c] for c in node.children]
         lean, packing = node in self.lean, self.packing
         if lean and node.kind == UNION:
-            partial = [*itertools.accumulate(sets, lambda a, b: {min(a) + min(b)})]
-        else:
-            if node.kind == UNION:
-                kernel = _sum_packed
-            else:
-                kernel = functools.partial(_join_packed, packing)
-            partial = [sets[0]]
-            for s in sets[1:-1] if lean else sets[1:]:
-                out = kernel(partial[-1], packing.expand(s))
-                partial.append(set(map(packing.canonical, out)))
-            if lean:
-                walk, other = sorted((partial[-1], sets[-1]), key=len, reverse=True)
-                index = sorted(packing.expand(other))
-                best = _least_join_packed(packing, sorted(walk), index)
-                partial.append(set() if best is None else {best})
+            return {sum(map(min, sets))}
+        kernel = _sum_packed
+        if node.kind == JOIN:
+            kernel = functools.partial(_join_packed, packing)
+        partial = [sets[0]]
+        for s in sets[1:-1] if lean else sets[1:]:
+            out = kernel(partial[-1], packing.expand(s))
+            partial.append(set(map(packing.canonical, out)))
+        if lean:
+            walk, other = sorted((partial[-1], sets[-1]), key=len, reverse=True)
+            index = sorted(packing.expand(other))
+            best = _least_join_packed(packing, sorted(walk), index)
+            partial.append(set() if best is None else {best})
         self.chain[node] = partial
         return partial[-1]
 
@@ -512,7 +490,7 @@ class _TupleDP:
         found; each combination reached and each branch pruned counts
         against the budget. Keeps the tuples with their combinations in
         `found` and returns their canonical forms."""
-        *outer, inner = sets = [self.full(c).tuples for c in node.children]
+        *outer, inner = sets = [self.full(c) for c in node.children]
         budget = self.budget
         if not least:
             total = math.prod(map(len, sets))
@@ -522,7 +500,7 @@ class _TupleDP:
                 )
         colors = _PrimeColors(node)
         checked = colors.checked
-        found: dict[Tuple, object] = {}
+        found: dict[Tuple, tuple[Tuple, ...]] = {}
         best: Tuple | None = None  # set by the least search only
         spent = 0
         combo: list[Tuple] = [()] * len(sets)
@@ -558,7 +536,7 @@ class _TupleDP:
                         if t not in found and (best is None or t < best):
                             if least:
                                 best, found = t, {}
-                            found[t] = ("prime", tuple(combo))
+                            found[t] = tuple(combo)
             if spent > budget:
                 raise ResourceLimitError(
                     f"prime-node search over {len(sets)} children"
@@ -569,12 +547,13 @@ class _TupleDP:
 
     def rebuild(self, tup: Tuple) -> Partition:
         """Expand a root tuple top-down into a colouring: each node hands
-        every child the tuple its witness names. A fold node recovers the
-        first pair (t1, t2) in sorted order, testing membership by
-        canonical lookup. A union walks the full expansion of the side
-        with fewer canonical tuples: the left one upwards, or the right
-        one downwards, as t1 = tup - t2 then grows. A join walks the
-        tuples that agree with tup on their support."""
+        every child the tuple its witness names. A lean node is only rebuilt
+        from its least tuple, so a lean union's children get their own. Any
+        other fold node recovers the first pair (t1, t2) in sorted order,
+        testing membership by canonical lookup. A union walks the full
+        expansion of the side with fewer canonical tuples: the left one
+        upwards, or the right one downwards, as t1 = tup - t2 then grows. A
+        join walks the tuples that agree with tup on their support."""
         unpack, expand = self.packing.unpack, self.packing.expand
         closure = functools.partial(_Closure, packing=self.packing)
         colors = [0] * self.tree.graph.n
@@ -585,7 +564,9 @@ class _TupleDP:
                 assert node.vertex is not None
                 colors[node.vertex] = tup.index(1) + 1
             elif node.kind == PRIME:
-                work.extend(zip(node.children, self.found[node][tup][1]))
+                work.extend(zip(node.children, self.found[node][tup]))
+            elif node.kind == UNION and node in self.lean:
+                work.extend((c, unpack(min(self.sets[c]))) for c in node.children)
             else:
                 partial = self.chain[node]
                 for i in range(len(node.children) - 1, 0, -1):
@@ -600,7 +581,7 @@ class _TupleDP:
                         t2, tup = _sum_witness(walk, closure(left), tup)
                     work.append((node.children[i], t2))
                 work.append((node.children[0], tup))
-        return Partition(self.k, tuple(colors))
+        return Partition(self.packing.k, tuple(colors))
 
 
 def feasible_tuples_mw(
@@ -618,7 +599,7 @@ def feasible_tuples_mw(
     _check_tree(g, t)
     dp = _TupleDP(t, k, product_budget)
     dp.run()
-    return dp.full(t.root)
+    return FeasibleTupleSet._result(k, dp.full(t.root))
 
 
 def _ceil_2sqrt(n: int) -> int:
@@ -726,19 +707,18 @@ def greedy_sqrt_partition(g: Graph) -> Partition:
         return Partition(0, ())
     if is_1ext_oracle(g):
         return Partition(1, (1,) * n)
-    colors = [0] * n
-    remaining = list(range(n))
+    nbr, colors = g.neighbor_masks(), [0] * n
+    remaining = (1 << n) - 1
     c = 0
     while remaining:
-        sub, _ = induced_subgraph(g, remaining)
-        a = alpha(sub)
+        a, stratum = _least_mis(remaining, nbr)
         if a * a < n:
             break
         c += 1
-        for v in maximum_independent_set(sub):
-            colors[remaining[v]] = c
-        remaining = [v for v in remaining if colors[v] == 0]
-    c = _peel(g, sum(1 << v for v in remaining), colors, c)
+        for v in _bits(stratum):
+            colors[v] = c
+        remaining &= ~stratum
+    c = _peel(g, remaining, colors, c)
     return Partition(c, tuple(colors))
 
 

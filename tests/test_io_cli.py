@@ -1,8 +1,14 @@
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import extpart
 from extpart import Graph, InputError, Partition, complete_multipartite, decompose
 from extpart.cli import main
 from extpart.io import (
@@ -355,6 +361,37 @@ def test_cli_pv_cap(tmp_path, capsys):
     f = tmp_path / "big.txt"
     f.write_text("p 26 0\n")
     assert main(["pv", str(f)]) == 3
+
+
+def _limit_address_space():
+    # 1 GiB: the first huge list fails at once, whatever overcommit allows
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, hard))
+
+
+@pytest.mark.parametrize(
+    "argv, document",
+    [
+        (["test"], "p 100000000000 0\n"),
+        (["chi"], '{"n": 100000000000, "edges": []}'),
+        (["gen", "multipartite", "--sizes", "100000000000"], ""),
+    ],
+    ids=["edge-list-test", "json-chi", "gen-multipartite"],
+)
+def test_cli_out_of_memory_exits_3(argv, document):
+    # exit 1 would read as a negative answer
+    env = {**os.environ, "PYTHONPATH": str(Path(extpart.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "extpart.cli", *argv],
+        input=document,
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=_limit_address_space,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "resource budget exceeded: out of memory\n"
 
 
 def test_cli_gen_roundtrip(capsys):

@@ -25,6 +25,7 @@ from extpart import (
     gen_multipartite_extremal,
     greedy_sqrt_partition,
     log_partition_cograph,
+    maximum_independent_set,
     peel_partition,
     split_integers,
     substitute,
@@ -96,6 +97,22 @@ def test_feasible_tuple_set_rejects_bad_class_count():
     for k in (0, True, 2.0):
         with pytest.raises(InputError):
             FeasibleTupleSet(k, {})
+
+
+def test_feasible_tuple_set_is_a_plain_value():
+    tuples = [(2, 0), (0, 1), (2, 0), (1, 1)]
+    expected = ((0, 1), (1, 1), (2, 0))
+    for given in (tuples, set(tuples), (t for t in tuples), dict.fromkeys(tuples)):
+        s = FeasibleTupleSet(2, given)
+        assert s.tuples == tuple(s) == expected
+        assert (len(s), bool(s)) == (3, True)
+        assert all(t in s for t in expected) and (0, 2) not in s
+    empty = FeasibleTupleSet(2, [])
+    assert (empty.tuples, len(empty), bool(empty)) == ((), 0, False)
+    assert (0, 0) not in empty
+    # every entry is checked before duplicates collapse, and True == 1
+    with pytest.raises(InputError):
+        FeasibleTupleSet(2, [(1, 0), (True, 0)])
 
 
 def test_fold_refuses_wrong_length_instead_of_truncating():
@@ -318,7 +335,7 @@ def _random_prime_graph(rng, n, p):
 
 
 def test_chi_colorings_on_prime_graphs_are_pinned():
-    # colourings rebuilt through ("prime", combo) witnesses: a change in
+    # colourings rebuilt through the prime nodes' combinations: a change in
     # the weight or the 1-extendability a prime node finds for a colour
     # moves them
     rng = random.Random(81)
@@ -369,9 +386,9 @@ def _full_set_chi(g, max_k):
     for k in range(1, max_k + 1):
         dp = _TupleDP(t, k, DEFAULT_PRODUCT_BUDGET)
         dp.run()
-        fts = dp.full(t.root)
-        if fts:
-            return k, dp.rebuild(fts.tuples[0])
+        root_set = dp.full(t.root)
+        if root_set:
+            return k, dp.rebuild(root_set[0])
     return None
 
 
@@ -493,11 +510,10 @@ def test_prime_sets_match_the_product_reference():
                 if node.kind != "prime":
                     continue
                 below_root += node is not t.root
-                child_sets = [dp.full(c).tuples for c in node.children]
+                child_sets = [dp.full(c) for c in node.children]
                 ref = ref_prime_set(node.rep, child_sets)
-                got = dp.full(node)
-                assert got.tuples == tuple(ref)
-                assert got.witness == {tup: ("prime", c) for tup, c in ref.items()}
+                assert dp.full(node) == tuple(ref)
+                assert dp.found[node] == ref
     assert below_root == 9
 
 
@@ -608,6 +624,46 @@ def test_greedy_class_count_bound():
         part = greedy_sqrt_partition(g)
         assert part.k <= math.ceil(2 * math.sqrt(n))
         assert verify_partition(g, part)
+
+
+def test_greedy_strata_and_least_mis_are_pinned():
+    # each stratum is the lexicographically least MIS of what is left, so
+    # a change in which MIS is found, or in the graph it is searched in,
+    # moves the colourings
+    pinned = [
+        (8, 0.2, "11111111", (0, 1, 2, 3, 4, 5)),
+        (10, 0.5, "2111112211", (1, 3, 9)),
+        (12, 0.8, "121121212111", (0, 5)),
+        (15, 0.1, "111111112122221", (0, 1, 2, 3, 4, 5, 6, 7, 9, 14)),
+        (18, 0.3, "111143322131223422", (0, 1, 2, 3, 9, 11)),
+        (20, 0.6, "11343224424311123233", (0, 1, 12, 13, 14)),
+        (24, 0.15, "121111213132332111122232", (0, 2, 3, 4, 5, 7, 9, 15, 16, 17, 18)),
+        (27, 0.4, "412222444332343414143231111", (1, 16, 18, 23, 24, 25, 26)),
+        (30, 0.7, "221112121112321111131122121212", (2, 14, 18, 24)),
+        (
+            33,
+            0.05,
+            "121111111122211212112112212221122",
+            (0, 2, 3, 4, 5, 6, 7, 8, 9, 13, 14, 16, 18, 19, 21, 22, 25, 29, 30),
+        ),
+        (
+            36,
+            0.25,
+            "224151123131211321241114432431233152",
+            (3, 5, 6, 9, 11, 13, 14, 17, 20, 21, 22, 29, 33),
+        ),
+        (
+            40,
+            0.5,
+            "2212326241213212515433331421222555464533",
+            (2, 9, 11, 14, 17, 24, 27),
+        ),
+    ]
+    rng = random.Random(2024)
+    for n, p, colors, mis in pinned:
+        g = random_graph(rng, n, p)
+        assert "".join(map(str, greedy_sqrt_partition(g).color)) == colors
+        assert maximum_independent_set(g) == mis
 
 
 def test_split_integers_forced_and_critical():
