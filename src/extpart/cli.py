@@ -300,9 +300,11 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ResourceLimitError, MemoryError) as exc:
-        message = str(exc) or "out of memory"
-        print(f"resource budget exceeded: {message}", file=sys.stderr)
+    except ResourceLimitError as exc:
+        print(f"resource budget exceeded: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("resource budget exceeded: out of memory", file=sys.stderr)
         return 3
 
 
