@@ -54,6 +54,13 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_graph(path: str) -> tuple[Graph, GraphDocument]:
     doc = parse_graph_text(_read_text(path))
     return doc.graph, doc
@@ -94,11 +101,12 @@ def cmd_chi(args: argparse.Namespace) -> int:
         print(f"chi_1ext > {args.max_k}")
         return 1
     k, part = result
-    print(f"chi_1ext: {k}")
+    # write the files first, so a failed write prints nothing
     if args.emit_partition:
-        Path(args.emit_partition).write_text(format_partition_text(part))
+        _write_text(args.emit_partition, format_partition_text(part))
     if args.dot:
-        Path(args.dot).write_text(format_dot(g, part, doc.names))
+        _write_text(args.dot, format_dot(g, part, doc.names))
+    print(f"chi_1ext: {k}")
     return 0
 
 

@@ -5,7 +5,8 @@ independent set. Over a modular decomposition this reduces to: a union
 is 1-extendable iff all children are; a join additionally needs all
 child independence numbers equal; at a prime node the children must be
 1-extendable and the weighted representative graph must be 1-extendable
-in the weighted sense.
+in the weighted sense. Both tests read `moddecomp._module_alphas`, the
+one bottom-up pass of this recurrence, which `chi_1ext` reads too.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .graphs import Graph
-from .independent_sets import _cover, _unit_cover
-from .moddecomp import JOIN, LEAF, MDNode, MDTree, UNION, _check_tree, is_cograph
+from .independent_sets import _unit_cover
+from .moddecomp import MDTree, _check_tree, _module_alphas, is_cograph
 
 
 @dataclass(frozen=True)
@@ -40,40 +41,16 @@ def is_1ext_cograph(t: MDTree) -> ExtReport:
         raise InputError(
             "tree contains a prime node; use is_1ext_mw for general graphs"
         )
-    ok, a = _rec_mw(t.root)
-    return ExtReport(is_1ext=ok, alpha=a)
-
-
-def _rec_mw(root: MDNode) -> tuple[bool, int]:
-    """(1-extendable, independence number) of root's module, bottom-up."""
-    done: dict[MDNode, tuple[bool, int]] = {}
-    for node in root.bottom_up():
-        if node.kind == LEAF:
-            done[node] = True, 1
-            continue
-        results = [done.pop(c) for c in node.children]
-        oks = all(ok for ok, _ in results)
-        alphas = [a for _, a in results]
-        if node.kind == UNION:
-            done[node] = oks, sum(alphas)
-        elif node.kind == JOIN:
-            done[node] = oks and len(set(alphas)) == 1, max(alphas)
-        else:
-            assert node.rep is not None
-            full = (1 << len(alphas)) - 1
-            weight, covered = _cover(
-                full, node.rep.neighbor_masks(), alphas, until_miss=True
-            )
-            done[node] = oks and covered == full, weight
-    return done[root]
+    alphas, ok = _module_alphas(t.root)
+    return ExtReport(is_1ext=ok, alpha=alphas[t.root])
 
 
 def is_1ext_mw(g: Graph, t: MDTree) -> ExtReport:
     """Modular-decomposition test; brute force only on the (small) prime
     representative graphs. Raises InputError when t is not g's tree."""
     _check_tree(g, t)
-    ok, a = _rec_mw(t.root)
-    return ExtReport(is_1ext=ok, alpha=a)
+    alphas, ok = _module_alphas(t.root)
+    return ExtReport(is_1ext=ok, alpha=alphas[t.root])
 
 
 def is_1ext_oracle_report(g: Graph) -> ExtReport:

@@ -274,6 +274,7 @@ def format_dot(
     lines = ["graph G {", "  node [style=filled];"]
     for v in range(g.n):
         label = names[v] if names else str(v)
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
         if partition is not None:
             fill = _DOT_PALETTE[(partition.color[v] - 1) % len(_DOT_PALETTE)]
         else:

@@ -31,7 +31,7 @@ from .graphs import (
     complete_graph,
     induced_subgraph,
 )
-from .independent_sets import weighted_alpha
+from .independent_sets import _cover
 
 LEAF = "leaf"
 UNION = "union"
@@ -209,25 +209,29 @@ def verify_module(g: Graph, vertices: VertexSet) -> bool:
     return all(nbr[w] & mask in (0, mask) for w in _bits((1 << g.n) - 1 & ~mask))
 
 
-def _module_alphas(root: MDNode) -> dict[MDNode, int]:
-    """Independence number of every module below root, root included:
-    a sum over union children, a maximum over join children, and the
-    weighted independence number of a prime node's representative with
-    each child weighted by its own."""
+def _module_alphas(root: MDNode) -> tuple[dict[MDNode, int], bool]:
+    """Alpha of every module below root, root included, and whether root's
+    module is 1-extendable. A union sums its children's alphas and a join
+    takes their maximum, needing them equal; a prime node weighs its
+    representative by them, needing each child in a maximum-weight set."""
     alphas: dict[MDNode, int] = {}
+    ok = True
     for node in root.bottom_up():
+        w = [alphas[c] for c in node.children]
         if node.kind == LEAF:
             a = 1
         elif node.kind == UNION:
-            a = sum(alphas[c] for c in node.children)
+            a = sum(w)
         elif node.kind == JOIN:
-            a = max(alphas[c] for c in node.children)
+            a = max(w)
+            ok = ok and min(w) == a
         else:
             assert node.rep is not None
-            weights = tuple(alphas[c] for c in node.children)
-            a = weighted_alpha(WeightedGraph(node.rep, weights))
+            full = (1 << len(w)) - 1
+            a, covered = _cover(full, node.rep.neighbor_masks(), w, until_miss=True)
+            ok = ok and covered == full
         alphas[node] = a
-    return alphas
+    return alphas, ok
 
 
 def _restrict(root: MDNode, keep: int) -> MDNode | None:
@@ -255,7 +259,7 @@ def _restrict(root: MDNode, keep: int) -> MDNode | None:
 def module_alpha(g: Graph, node: MDNode) -> int:
     """Independence number of the subgraph induced by the node's module,
     bottom-up over the tree (weighted representative at prime nodes)."""
-    return _module_alphas(node)[node]
+    return _module_alphas(node)[0][node]
 
 
 def weighted_representative(g: Graph, node: MDNode) -> WeightedGraph:
@@ -271,7 +275,7 @@ def weighted_representative(g: Graph, node: MDNode) -> WeightedGraph:
     else:
         assert node.rep is not None
         base = node.rep
-    alphas = _module_alphas(node)
+    alphas = _module_alphas(node)[0]
     return WeightedGraph(base, tuple(alphas[c] for c in node.children))
 
 

@@ -73,7 +73,6 @@ from .moddecomp import (
     _restrict,
     decompose,
     is_cograph,
-    module_alpha,
 )
 
 DEFAULT_PRODUCT_BUDGET = 5_000_000
@@ -459,7 +458,8 @@ class _TupleDP:
         partial result for `rebuild`, but a lean union's: it is the sum of
         its children's least tuples, lexicographic order being translation
         invariant. A lean join's last fold, which `rebuild` never reads as
-        a left operand, keeps its least tuple alone."""
+        a left operand, keeps its least tuple alone. Any other fold refuses
+        a product of its operands' sizes over the budget before it starts."""
         sets = [self.sets[c] for c in node.children]
         lean, packing = node in self.lean, self.packing
         if lean and node.kind == UNION:
@@ -469,8 +469,13 @@ class _TupleDP:
             kernel = functools.partial(_join_packed, packing)
         partial = [sets[0]]
         for s in sets[1:-1] if lean else sets[1:]:
-            out = kernel(partial[-1], packing.expand(s))
-            partial.append(set(map(packing.canonical, out)))
+            left, right = partial[-1], packing.expand(s)
+            if len(left) * len(right) > self.budget:
+                raise ResourceLimitError(
+                    f"{node.kind} fold of {len(left)} x {len(right)} tuples"
+                    f" exceeds budget {self.budget}"
+                )
+            partial.append(set(map(packing.canonical, kernel(left, right))))
         if lean:
             walk, other = sorted((partial[-1], sets[-1]), key=len, reverse=True)
             index = sorted(packing.expand(other))
@@ -592,8 +597,9 @@ def feasible_tuples_mw(
     product_budget: int = DEFAULT_PRODUCT_BUDGET,
 ) -> FeasibleTupleSet:
     """Feasible k-tuples of g via its modular decomposition; non-empty iff
-    g splits into k induced 1-extendable subgraphs. A prime node whose
-    tuple product exceeds `product_budget` raises ResourceLimitError."""
+    g splits into k induced 1-extendable subgraphs. A prime node's tuple
+    product, or a fold's product of operand sizes, over `product_budget`
+    raises ResourceLimitError."""
     if k < 1:
         raise InputError(f"class count k must be at least 1, got {k}")
     _check_tree(g, t)
@@ -618,33 +624,36 @@ def chi_1ext(
     Searches k = 1, 2, ... up to min(alpha, ceil(2*sqrt(n)), and the log
     bound on cographs), all proven upper bounds, so the search always
     succeeds; returns None only when a user-supplied max_k cuts it off.
-    The certificate is the rebuild of the least feasible root tuple of
-    `feasible_tuples_mw` through its first witness. Each pass builds
-    only what that rebuild reads, and stops at the first empty node set.
-    On the lean path (the root, and every node reached from it through
-    unions alone) a union sums its children's least tuples, a join's
-    last fold searches for its least tuple alone, and a prime node's
-    depth-first search over its children's tuple combinations looks for
+    The pass that gives alpha (`_module_alphas`) also decides k = 1: a
+    1-extendable graph is one class. From k = 2 the certificate is the
+    rebuild of the least feasible root tuple of `feasible_tuples_mw`
+    through its first witness; each pass builds only what that reads,
+    and stops at the first empty node set. On the lean path (the root,
+    and every node reached from it through unions alone) a union sums
+    its children's least tuples, a join's last fold searches for its
+    least tuple alone, and a prime node's depth-first search looks for
     the least tuple alone and prunes; the budget then bounds the
-    combinations reached plus the branches pruned, a part of the
-    product, for each k. Every other node builds its full set, and a
-    prime node there refuses a product over `product_budget` before
-    starting. Raises ResourceLimitError when the budget runs out, and
-    InputError on a negative max_k.
+    combinations reached plus the branches pruned, for each k. Every
+    other node builds its full set under the budget of
+    `feasible_tuples_mw`. Raises ResourceLimitError when the budget runs
+    out, and InputError on a negative max_k.
     """
     if max_k is not None and max_k < 0:
         raise InputError(f"max_k must be non-negative, got {max_k}")
     if g.n == 0:
         return 0, Partition(0, ())
     tree = decompose(g)
-    a = module_alpha(g, tree.root)
+    alphas, is_1ext = _module_alphas(tree.root)
+    a = alphas[tree.root]
     bound = min(a, _ceil_2sqrt(g.n))
     if is_cograph(tree):
         bound = min(bound, a.bit_length())
     capped = max_k is not None and max_k < bound
     if capped:
         bound = max_k
-    for k in range(1, bound + 1):
+    if is_1ext and bound >= 1:
+        return 1, Partition(1, (1,) * g.n)
+    for k in range(2, bound + 1):
         dp = _TupleDP(tree, k, product_budget)
         least = dp.run(least=True)
         if least is not None:
@@ -806,7 +815,7 @@ def log_partition_cograph(t: MDTree) -> Partition:
     remaining = (1 << t.graph.n) - 1
     c = 0
     while root is not None:
-        alphas = _module_alphas(root)
+        alphas = _module_alphas(root)[0]
         a = alphas[root]
         c += 1
         v1 = root.module if a <= 1 else _extract(root, (a + 1) // 2, alphas)

@@ -94,6 +94,10 @@ def test_format_dot():
     dot = format_dot(g, Partition(2, (1, 1, 2, 2)), names=list("abcd"))
     assert "0 -- 1;" in dot
     assert 'label="a"' in dot
+    # a quote or backslash in a name is escaped inside the DOT string
+    dot = format_dot(g, names=["a\"b", "c\\", "d", "e"])
+    assert '0 [label="a\\"b" ' in dot
+    assert '1 [label="c\\\\" ' in dot
 
 
 PARSER_ERRORS = {
@@ -248,6 +252,18 @@ def test_cli_chi_dot_export(tmp_path):
     f.write_text(P4_TEXT)
     assert main(["chi", str(f), "--dot", str(dot)]) == 0
     assert dot.read_text().startswith("graph G {")
+
+
+@pytest.mark.parametrize("flag", ["--emit-partition", "--dot"])
+def test_cli_chi_failed_write_is_an_input_error(tmp_path, capsys, flag):
+    f = tmp_path / "p4.txt"
+    f.write_text(P4_TEXT)
+    out = tmp_path / "missing" / "out"
+    assert main(["chi", str(f), flag, str(out)]) == 2
+    captured = capsys.readouterr()
+    # the answer is not printed when its files cannot be written
+    assert captured.out == ""
+    assert f"cannot write {out}: " in captured.err
 
 
 def test_cli_verify_rejects_bad_certificates(tmp_path, capsys):

@@ -24,6 +24,7 @@ from extpart import (
     gen_interval_extremal,
     gen_multipartite_extremal,
     greedy_sqrt_partition,
+    is_1ext_oracle,
     log_partition_cograph,
     maximum_independent_set,
     peel_partition,
@@ -463,6 +464,27 @@ def test_product_budget(budget):
         feasible_tuples_mw(g, decompose(g), 2, product_budget=budget)
 
 
+def test_fold_budget():
+    # k = 1 runs no search, so a 1-extendable graph meets no budget
+    assert chi_1ext(cycle_graph(5), product_budget=0) == (1, Partition(1, (1,) * 5))
+    # a fold refuses the product of its operands' sizes before it starts
+    g = gen_interval_extremal(3)
+    with pytest.raises(
+        ResourceLimitError, match=r"^union fold of 3 x 10 tuples exceeds budget 29$"
+    ):
+        chi_1ext(g, product_budget=29)
+    assert chi_1ext(g, product_budget=30)[0] == 3
+    g, _ = complete_multipartite([2, 3, 4])
+    with pytest.raises(
+        ResourceLimitError, match=r"^join fold of 2 x 10 tuples exceeds budget 10$"
+    ):
+        chi_1ext(g, product_budget=10)
+    with pytest.raises(
+        ResourceLimitError, match=r"^union fold of 2 x 3 tuples exceeds budget 3$"
+    ):
+        feasible_tuples_mw(g, decompose(g), 3, product_budget=3)
+
+
 def test_chi_answers_a_prime_root_whose_product_exceeds_the_budget():
     g = _random_prime_graph(random.Random(1024), 24, 0.3)
     assert 2**24 > DEFAULT_PRODUCT_BUDGET
@@ -566,6 +588,9 @@ def test_chi_certificates_verify():
         assert verify_partition(g, part)
         assert part.nonempty_count() == k
         assert k == bf_chi_1ext(g)
+        assert (k == 1) == is_1ext_oracle(g)
+        if k == 1:
+            assert part == Partition(1, (1,) * g.n)
 
 
 def test_chi_bounded_by_alpha_and_chromatic():
@@ -583,6 +608,7 @@ def test_chi_max_k_cutoff():
     k, _ = chi_1ext(g, max_k=3)
     assert k == 3
     assert chi_1ext(g, max_k=0) is None
+    assert chi_1ext(cycle_graph(5), max_k=0) is None  # 1-extendable
     assert chi_1ext(empty_graph(0), max_k=0) == (0, Partition(0, ()))
     for h in (g, empty_graph(0)):
         with pytest.raises(InputError, match="max_k"):
