@@ -9,12 +9,13 @@ sets rather than isomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import accumulate, compress, count
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
 
 VertexSet = tuple[int, ...]
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -24,28 +25,40 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _grow_component(start: int, mask: int, adj_of: Callable[[int], int]) -> int:
-    comp = 0
-    frontier = 1 << start
-    while frontier:
-        comp |= frontier
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= adj_of(v)
-        frontier = nxt & mask & ~comp
-    return comp
+def _positions(mask: int) -> Iterator[int]:
+    """`_bits` of the mask; past one vertex per 64 bits, it is read at
+    C speed from its binary string."""
+    if mask.bit_count() << 6 <= mask.bit_length():
+        return _bits(mask)
+    return compress(count(), bin(mask)[:1:-1].encode().translate(_BINARY_DIGITS))
 
 
-def _split_components(mask: int, adj_of: Callable[[int], int]) -> list[int]:
-    """The connected components of the vertex mask under `adj_of` (a
-    vertex's neighbour mask), ordered by minimum vertex."""
-    comps = []
-    rem = mask
-    while rem:
-        v = (rem & -rem).bit_length() - 1
-        comp = _grow_component(v, mask, adj_of)
+def _components(mask: int, nbr: Sequence[int], complement: bool = False) -> list[int]:
+    """The connected components of the vertex mask, ordered by minimum
+    vertex; with `complement`, those of its complement, by mask arithmetic
+    on `nbr`. Each grows from its lowest vertex one step at a time, from
+    whichever side holds fewer vertices: the frontier pushes (its
+    neighbours join) or the unreached part pulls (a vertex joins if it
+    sees the component, now only through the frontier)."""
+    comps, rest = [], mask
+    while rest:
+        frontier = comp = rest & -rest
+        rest ^= comp
+        while frontier and rest:
+            new = 0
+            if frontier.bit_count() <= rest.bit_count():
+                for v in _positions(frontier):
+                    new |= ~nbr[v] if complement else nbr[v]
+                new &= rest
+            else:
+                for v in _positions(rest):
+                    seen = nbr[v] & comp
+                    if seen != comp if complement else seen:
+                        new |= 1 << v
+            comp |= new
+            rest ^= new
+            frontier = new
         comps.append(comp)
-        rem &= ~comp
     return comps
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import ResourceLimitError
-from .graphs import Graph, VertexSet, WeightedGraph, _bits, _split_components
+from .graphs import Graph, VertexSet, WeightedGraph, _bits, _components
 
 DEFAULT_COUNT_CAP = 40
 
@@ -147,7 +147,7 @@ def _split_cover(
     miss, so the weight stays exact and the lowest vertex left out of
     the cover is the lowest vertex in no maximum-weight set."""
     best = covered = 0
-    for comp in _split_components(mask, nbr.__getitem__):
+    for comp in _components(mask, nbr):
         weight, got = _cover(comp, nbr, w, until_miss)
         best += weight
         covered |= got

@@ -7,7 +7,9 @@ graph is connected and co-connected the quotient on its maximal strong
 modules is prime. Those modules come from one partition refinement
 (Habib, Paul & Viennot, 1999): splitters refine the set without its
 lowest vertex v into the maximal modules that avoid v, and one splitter
-closure per part tells whether the part joins v's module.
+closure per part tells whether the part joins v's module. Components
+grow from the smaller side (`graphs._components`), and a node's module
+is merged from its children's.
 
 Every walk over a tree keeps its pending nodes on an explicit stack,
 the bottom-up ones (building the tree included) through `post_order`,
@@ -18,6 +20,7 @@ meets the interpreter's recursion limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
 from typing import Callable, Iterator, Sequence, TypeVar
 
@@ -27,7 +30,7 @@ from .graphs import (
     VertexSet,
     WeightedGraph,
     _bits,
-    _split_components,
+    _components,
     complete_graph,
     induced_subgraph,
 )
@@ -144,11 +147,11 @@ def _split(
     if mask & (mask - 1) == 0:
         return mask, LEAF, [], None
 
-    comps = _split_components(mask, lambda v: nbr[v])
+    comps = _components(mask, nbr)
     if len(comps) > 1:
         return mask, UNION, comps, None
 
-    cocomps = _split_components(mask, lambda v: mask & ~nbr[v] & ~(1 << v))
+    cocomps = _components(mask, nbr, complement=True)
     if len(cocomps) > 1:
         return mask, JOIN, cocomps, None
 
@@ -158,6 +161,11 @@ def _split(
     # ascending, so representative vertex i stands for classes[i]
     reps = [(c & -c).bit_length() - 1 for c in classes]
     return mask, PRIME, classes, induced_subgraph(g, reps)[0]
+
+
+def _merged_module(children: Sequence[MDNode]) -> VertexSet:
+    """The sorted module of a node, merged from its children's."""
+    return tuple(sorted(chain.from_iterable(c.module for c in children)))
 
 
 def decompose(g: Graph) -> MDTree:
@@ -171,8 +179,8 @@ def decompose(g: Graph) -> MDTree:
     for mask, kind, parts, rep in post_order(
         _split(g, nbr, full), lambda split: [_split(g, nbr, c) for c in split[2]]
     ):
-        vs = tuple(_bits(mask))
         children = tuple(map(built.pop, parts))
+        vs = _merged_module(children) if children else (mask.bit_length() - 1,)
         built[mask] = MDNode(kind, vs, children, vs[0] if kind == LEAF else None, rep)
     return MDTree(graph=g, root=built[full])
 
@@ -251,8 +259,7 @@ def _restrict(root: MDNode, keep: int) -> MDNode | None:
             built[node] = children[0] if children else None
         else:
             children.sort(key=lambda c: c.module[0])
-            module = tuple(sorted(v for c in children for v in c.module))
-            built[node] = MDNode(node.kind, module, tuple(children))
+            built[node] = MDNode(node.kind, _merged_module(children), tuple(children))
     return built[root]
 
 

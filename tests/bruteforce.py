@@ -291,3 +291,55 @@ def ref_prime_set(rep: Graph, child_sets) -> dict[tuple[int, ...], tuple]:
         else:
             out.setdefault(tuple(tup), combo)
     return dict(sorted(out.items()))
+
+
+def ref_components(mask: int, adj_of) -> list[int]:
+    """The connected components of the vertex mask under `adj_of` (a
+    vertex's neighbour mask), ordered by minimum vertex: a frontier
+    search from each lowest vertex not yet reached, pushing every
+    frontier vertex through the callback."""
+    comps = []
+    rem = mask
+    while rem:
+        comp, frontier = 0, rem & -rem
+        while frontier:
+            comp |= frontier
+            nxt = 0
+            for v in range(frontier.bit_length()):
+                if frontier >> v & 1:
+                    nxt |= adj_of(v)
+            frontier = nxt & mask & ~comp
+        comps.append(comp)
+        rem &= ~comp
+    return comps
+
+
+def ref_decompose(g: Graph) -> tuple:
+    """Modular decomposition as nested (kind, module, children) tuples,
+    built top-down by recursion: a module splits on its components
+    (union), else on its co-components (join), both by `ref_components`,
+    else on the maximal strong modules `moddecomp._maximal_strong_modules`
+    gives (prime); children ordered by minimum vertex."""
+    from extpart.moddecomp import _maximal_strong_modules
+
+    nbr = g.neighbor_masks()
+
+    def rec(mask: int) -> tuple:
+        module = tuple(v for v in range(g.n) if mask >> v & 1)
+        if len(module) == 1:
+            return "leaf", module, ()
+        kind, parts = "union", ref_components(mask, nbr.__getitem__)
+        if len(parts) == 1:
+            co = ref_components(mask, lambda v: mask & ~nbr[v] & ~(1 << v))
+            kind, parts = ("join", co) if len(co) > 1 else ("prime", _maximal_strong_modules(nbr, mask))
+        return kind, module, tuple(rec(p) for p in parts)
+
+    return rec((1 << g.n) - 1)
+
+
+def ref_format_tree(node: tuple) -> str:
+    """`io.format_tree` of a `ref_decompose` tree."""
+    kind, module, children = node
+    if kind == "leaf":
+        return f"leaf {module[0]}"
+    return f"{kind}({','.join(map(ref_format_tree, children))})"

@@ -75,3 +75,8 @@ def test_cli(deep, tmp_path, capsys):
         assert main(["test", str(f), "--method", method]) == 1
         out = capsys.readouterr().out.splitlines()
         assert out[:3] == ["1-extendable: no", f"alpha: {N // 2}", f"method: {method}"]
+    assert main(["decompose", str(f)]) == 0
+    tree = "leaf 0"
+    for v in range(1, N):
+        tree = f"{'join' if v % 2 else 'union'}({tree},leaf {v})"
+    assert capsys.readouterr().out.splitlines() == [tree, "mw=2"]

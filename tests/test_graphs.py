@@ -20,7 +20,8 @@ from extpart import (
     substitute,
     verify_module,
 )
-from bruteforce import bf_alpha, bf_chi_1ext, fig1_bottom, p4, random_graph
+from extpart.graphs import _components, _positions
+from bruteforce import bf_alpha, bf_chi_1ext, fig1_bottom, p4, random_graph, ref_components
 
 
 def test_graph_rejects_bad_input():
@@ -79,6 +80,34 @@ def test_induced_subgraph_matches_an_edge_scan():
         assert sub.edges == tuple(
             (index[u], index[v]) for u, v in edges if u in index and v in index
         )
+
+
+def test_components_match_the_callback_search_reference():
+    # a mask of at most 40 vertices is always read from its binary string,
+    # so sparse graphs of 150-300 vertices and their sparse sub-masks
+    # reach the bit-by-bit reading as well
+    rng = random.Random(63)
+    for i in range(220):
+        small = i < 200
+        n = rng.randint(1, 40) if small else rng.randint(150, 300)
+        edges = random_graph(rng, n, rng.uniform(0.05, 0.95) if small else 2 / n).edges
+        shape = rng.choice(("dominating", "isolated", "plain"))
+        special = rng.randrange(n)
+        if shape == "dominating":
+            edges += tuple((special, v) for v in range(n) if v != special)
+        elif shape == "isolated":
+            edges = tuple(e for e in edges if special not in e)
+        g = Graph(n, edges)
+        nbr = g.neighbor_masks()
+        full = (1 << n) - 1
+        masks = [full, 1 << special, 1 << rng.randrange(n), full & ~(1 << special)]
+        masks += [rng.getrandbits(n) for _ in range(4)]
+        masks += [sum(1 << v for v in rng.sample(range(n), min(n, rng.randint(1, 4))))]
+        for mask in masks:
+            assert list(_positions(mask)) == [v for v in range(n) if mask >> v & 1]
+            assert _components(mask, nbr) == ref_components(mask, nbr.__getitem__)
+            co = ref_components(mask, lambda v: mask & ~nbr[v] & ~(1 << v))
+            assert _components(mask, nbr, complement=True) == co
 
 
 def test_induced_subgraph_nonadjacent_pair():

@@ -23,8 +23,16 @@ from extpart import (
     weighted_representative,
 )
 from extpart.graphs import induced_subgraph
+from extpart.io import format_tree
 from extpart.moddecomp import _restrict, post_order
-from bruteforce import bf_modules, p4, random_cograph, random_graph
+from bruteforce import (
+    bf_modules,
+    p4,
+    random_cograph,
+    random_graph,
+    ref_decompose,
+    ref_format_tree,
+)
 
 
 def test_post_order_matches_recursive_reference():
@@ -169,6 +177,33 @@ def test_prime_root_children_are_the_substituted_parts():
         assert t.root.kind == "prime"
         assert [c.module for c in t.root.children] == modules
         assert reconstruct(t) == g
+
+
+def _relabelled(rng, g):
+    label = rng.sample(range(g.n), g.n)
+    return Graph(g.n, [(label[u], label[v]) for u, v in g.edges])
+
+
+def test_decompose_matches_the_top_down_reference():
+    rng = random.Random(49)
+    graphs = [_relabelled(rng, random_cograph(rng, rng.randint(1, 40))) for _ in range(40)]
+    for _ in range(20):
+        n = rng.randint(1, 60)
+        edges = [(u, v) for v in range(n) if rng.random() < 0.5 for u in range(v)]
+        graphs.append(_relabelled(rng, Graph(n, edges)))  # a threshold cograph
+    bases = _prime_bases(rng)
+    graphs += [_substituted(rng, bases, 8)[0] for _ in range(20)]
+    for g in graphs:
+        root, ref = decompose(g).root, ref_decompose(g)
+        assert format_tree(root) == ref_format_tree(ref)
+        assert _shape(root, lambda v: v) == ref
+        for node in root.bottom_up():
+            if node.kind == "prime":
+                reps = [c.module[0] for c in node.children]
+                pairs = itertools.combinations(range(len(reps)), 2)
+                assert node.rep.edges == tuple(
+                    (i, j) for i, j in pairs if g.has_edge(reps[i], reps[j])
+                )
 
 
 def test_child_modules_are_strong():
