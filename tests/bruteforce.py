@@ -330,8 +330,9 @@ def ref_decompose(g: Graph) -> tuple:
             return "leaf", module, ()
         kind, parts = "union", ref_components(mask, nbr.__getitem__)
         if len(parts) == 1:
-            co = ref_components(mask, lambda v: mask & ~nbr[v] & ~(1 << v))
-            kind, parts = ("join", co) if len(co) > 1 else ("prime", _maximal_strong_modules(nbr, mask))
+            kind, parts = "join", ref_components(mask, lambda v: mask & ~nbr[v] & ~(1 << v))
+        if len(parts) == 1:
+            kind, parts = "prime", _maximal_strong_modules(nbr, mask)
         return kind, module, tuple(rec(p) for p in parts)
 
     return rec((1 << g.n) - 1)
