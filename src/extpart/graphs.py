@@ -26,8 +26,8 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _positions(mask: int) -> Iterator[int]:
-    """`_bits` of the mask; past one vertex per 64 bits, it is read at
-    C speed from its binary string."""
+    """`_bits` of the mask while it holds at most one vertex per 64 bits;
+    a denser one is read at C speed from its binary string."""
     if mask.bit_count() << 6 <= mask.bit_length():
         return _bits(mask)
     return compress(count(), bin(mask)[:1:-1].encode().translate(_BINARY_DIGITS))
@@ -39,7 +39,7 @@ def _components(mask: int, nbr: Sequence[int], complement: bool = False) -> list
     on `nbr`. Each grows from its lowest vertex one step at a time, from
     whichever side holds fewer vertices: the frontier pushes (its
     neighbours join) or the unreached part pulls (a vertex joins if it
-    sees the component, now only through the frontier)."""
+    sees the component)."""
     comps, rest = [], mask
     while rest:
         frontier = comp = rest & -rest
