@@ -46,11 +46,9 @@ _SCALED = re.compile(r"\s*[-+]?(?=\.?[0-9])([0-9]*\.?[0-9]*)[eE]([-+]?)([0-9]+)\
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return sys.stdin.read() if path == "-" else Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 

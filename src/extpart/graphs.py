@@ -62,6 +62,23 @@ def _components(mask: int, nbr: Sequence[int], complement: bool = False) -> list
     return comps
 
 
+def edge_masks(n: int, edges: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """The neighbour masks of vertices 0..n-1 joined by `edges`, and the index
+    of the first edge that is no pair of distinct ints (not bools) in range(n),
+    or -1 if there is none."""
+    masks = [0] * n
+    for i, edge in enumerate(edges):
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            return masks, i
+        if not (type(u) is type(v) is int and u != v and 0 <= u < n and 0 <= v < n):
+            return masks, i
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks, -1
+
+
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
@@ -80,14 +97,13 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise InputError(f"vertex count must be non-negative, got {n}")
-        masks = [0] * n
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u}, {v}) out of range for n={n}")
+        edges = list(edges)
+        masks, bad = edge_masks(n, edges)
+        if bad >= 0:
+            u, v = edges[bad]
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
+            raise InputError(f"edge ({u}, {v}) out of range for n={n}")
         self.n, self._masks, self._edges = n, tuple(masks), None
 
     @classmethod

@@ -2,20 +2,24 @@
 certificates, decomposition trees, and DOT export.
 
 The edge-list format is DIMACS-like but 0-based: a header line `p n m`,
-one `e u v` line per edge, and `c ...` comment lines. Parsing checks each
-edge once and sets its bits in the graph's masks. Serialization is
-canonical (sorted edges), so parse/serialize round trips byte-stable.
+one `e u v` line per edge, and `c ...` comment lines. A canonical document
+(`p n m`, then only `e u v` lines of plain decimals, as serialization writes)
+is checked by one regex search and its endpoints read by one `json.loads`;
+any other is read line by line. Every graph reader builds the masks with
+`graphs.edge_masks`. Serialization is canonical (sorted edges), so
+parse/serialize round trips byte-stable.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InputError
-from .graphs import Graph
+from .graphs import Graph, edge_masks
 from .moddecomp import LEAF, MDNode
 from .partition import Partition
 
@@ -24,8 +28,14 @@ ADJACENCY_JSON = "adjacency-json"
 
 # int() alone would also read "+1", "1_0" and non-ASCII digits
 _INT_FIELD = re.compile(r"-?[0-9]+")
-# a well-formed `e u v` line; any other line is checked field by field
-_EDGE_LINE = re.compile(r"\s*e\s+(-?[0-9]+)\s+(-?[0-9]+)\s*")
+# a well-formed `e u v` line of numbers int() reads; any other line is
+# checked field by field
+_EDGE_LINE = re.compile(r"\s*e\s+(-?[0-9]{1,18})\s+(-?[0-9]{1,18})\s*")
+# a canonical header; after it each line break starts a canonical edge line
+# or ends the text (one search: a repeated group would grow sre's stack)
+_PLAIN = r"(?:0|[1-9][0-9]{0,17})"
+_CANONICAL_HEADER = re.compile(rf"p ({_PLAIN}) ({_PLAIN})\n")
+_NOT_CANONICAL_EDGE = re.compile(rf"\n(?!e {_PLAIN} {_PLAIN}\n|\Z)")
 
 
 @dataclass(frozen=True)
@@ -64,8 +74,17 @@ def parse_graph_text(text: str) -> GraphDocument:
 
 
 def _parse_edge_list(text: str) -> GraphDocument:
+    header = _CANONICAL_HEADER.match(text)
+    if header and not _NOT_CANONICAL_EDGE.search(text, header.end() - 1):
+        body = text[header.end() + 2 : -1].replace("\ne ", ",").replace(" ", ",")
+        ends = iter(json.loads(f"[{body}]"))
+        n, m = int(header[1]), int(header[2])
+        masks, bad = edge_masks(n, zip(ends, ends))
+        if bad < 0 and sum(map(int.bit_count, masks)) == 2 * m:
+            return GraphDocument(fmt=EDGE_LIST, graph=Graph._from_masks(n, tuple(masks)))
+    # any other document, and a canonical one with an error, line by line
     n = m = None
-    masks: list[int] = []
+    edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         edge = _EDGE_LINE.fullmatch(raw)
         if edge and n is not None:
@@ -81,7 +100,6 @@ def _parse_edge_list(text: str) -> GraphDocument:
                 if len(fields) != 3:
                     raise InputError(f"line {lineno}: header must be `p n m`")
                 n, m = _int_fields(fields[1:], f"line {lineno}: bad header numbers")
-                masks = [0] * n
                 continue
             if fields[0] != "e":
                 raise InputError(f"line {lineno}: unrecognized line {line!r}")
@@ -94,10 +112,10 @@ def _parse_edge_list(text: str) -> GraphDocument:
             raise InputError(f"line {lineno}: endpoint out of range 0..{n - 1}")
         if u == v:
             raise InputError(f"line {lineno}: self-loop at {u}")
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
+        edges.append((u, v))
     if n is None:
         raise InputError("missing `p n m` header line")
+    masks, _ = edge_masks(n, edges)  # each edge was checked on its line
     found = sum(mask.bit_count() for mask in masks) // 2
     if m != found:
         raise InputError(f"header declares {m} edges, found {found} distinct")
@@ -109,9 +127,12 @@ def _parse_edge_list(text: str) -> GraphDocument:
 def _int_fields(fields: list[str], error: str) -> list[int]:
     """Decimal integer fields of a text line; `error` is raised for any
     field that is not an optional minus sign followed by ASCII digits."""
-    if not all(_INT_FIELD.fullmatch(f) for f in fields):
-        raise InputError(error)
-    return [int(f) for f in fields]
+    try:
+        if all(map(_INT_FIELD.fullmatch, fields)):
+            return list(map(int, fields))
+    except ValueError:  # more digits than int() reads
+        error += f" (over {sys.get_int_max_str_digits()} digits)"
+    raise InputError(error)
 
 
 def _parse_json(text: str) -> GraphDocument:
@@ -121,6 +142,9 @@ def _parse_json(text: str) -> GraphDocument:
         raise InputError(
             f"line {exc.lineno}, column {exc.colno}: invalid JSON ({exc.msg})"
         ) from exc
+    except ValueError as exc:  # an integer longer than int() reads
+        limit = sys.get_int_max_str_digits()
+        raise InputError(f"invalid JSON (a number of over {limit} digits)") from exc
     if not isinstance(data, dict):
         raise InputError("JSON graph document must be an object")
     fmt = data.get("format", ADJACENCY_JSON)
@@ -131,14 +155,12 @@ def _parse_json(text: str) -> GraphDocument:
     n = _json_int(data["n"], "n")
     if n < 0:
         raise InputError(f"`n` must be non-negative, got {n}")
-    masks = [0] * n
-    for i, e in enumerate(_json_list(data["edges"], "edges")):
-        u, v = _json_list(e, f"edges[{i}]", length=2)
+    edges = _json_list(data["edges"], "edges")
+    masks, i = edge_masks(n, edges)
+    if i >= 0:
+        u, v = _json_list(edges[i], f"edges[{i}]", length=2)
         u, v = _json_int(u, f"edges[{i}][0]"), _json_int(v, f"edges[{i}][1]")
-        if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise InputError(f"`edges[{i}]`: bad edge ({u}, {v}) for n={n}")
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
+        raise InputError(f"`edges[{i}]`: bad edge ({u}, {v}) for n={n}")
     names = None
     if data.get("names") is not None:
         names = tuple(_json_list(data["names"], "names"))

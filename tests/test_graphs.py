@@ -20,7 +20,7 @@ from extpart import (
     substitute,
     verify_module,
 )
-from extpart.graphs import _components, _positions
+from extpart.graphs import _components, _positions, edge_masks
 from bruteforce import bf_alpha, bf_chi_1ext, fig1_bottom, p4, random_graph, ref_components
 
 
@@ -31,6 +31,17 @@ def test_graph_rejects_bad_input():
         Graph(3, [(0, 0)])
     with pytest.raises(InputError):
         Graph(3, [(0, 3)])
+
+
+def test_edge_masks_name_the_first_bad_edge():
+    assert edge_masks(3, [(0, 1), [2, 1], (1, 0)]) == ([2, 5, 2], -1)
+    assert edge_masks(0, []) == ([], -1)
+    for bad in [(0, 0), (0, 3), (-1, 0), (True, 0), (0, 1.0), "ab", (0,), (0, 1, 2), 5]:
+        assert edge_masks(3, [(0, 1), bad, (1, 1), (0, 5)])[1] == 1, bad
+    with pytest.raises(InputError, match="self-loop at vertex 1"):
+        Graph(3, iter([(0, 1), (1, 1), (0, 3)]))
+    with pytest.raises(InputError, match=r"edge \(0, 3\) out of range for n=3"):
+        Graph(3, iter([(0, 1), (0, 3), (1, 1)]))
 
 
 def _seeded_edge_lists(seed):

@@ -1,6 +1,9 @@
+import io
+import itertools
 import json
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -9,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import extpart
+import extpart.io
 from extpart import Graph, InputError, Partition, complete_multipartite, decompose
 from extpart.cli import main
 from extpart.io import (
@@ -20,7 +24,7 @@ from extpart.io import (
     parse_partition_text,
     serialize_graph_document,
 )
-from bruteforce import fig1_bottom, p4, random_graph
+from bruteforce import fig1_bottom, p4, random_graph, ref_parse_edge_list
 
 P4_TEXT = "p 4 3\ne 0 1\ne 1 2\ne 2 3\n"
 BOTTOM_JSON = json.dumps(
@@ -146,6 +150,14 @@ PARSER_ERRORS = {
         '{"n": 2, "edges": [[1, 1]]}',
         "`edges[0]`: bad edge (1, 1) for n=2",
     ),
+    "json-bool-endpoint": (
+        '{"n": 2, "edges": [[0, 1], [true, 0]]}',
+        "`edges[1][0]` must be an integer, got true",
+    ),
+    "json-first-bad-edge": (
+        '{"n": 3, "edges": [[0, 1], [2, 2], [0, "x"], [5]]}',
+        "`edges[1]`: bad edge (2, 2) for n=3",
+    ),
     "json-names-type": (
         '{"n": 2, "edges": [], "names": "ab"}',
         '`names` must be a list, got "ab"',
@@ -187,6 +199,159 @@ def test_cli_parser_errors_are_pinned(tmp_path, capsys, text, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+DIGITS = sys.get_int_max_str_digits()
+LONG = "9" * (DIGITS + 1)
+# an integer of more digits than int() reads, at each entry point that reads
+# integers: (argv, file name -> text, message); argv names files in `{dir}`
+LONG_INTEGERS = {
+    "header": (
+        ["test", "{dir}/g.txt"],
+        {"g.txt": f"p {LONG} 0\n"},
+        f"line 1: bad header numbers (over {DIGITS} digits)",
+    ),
+    "edge-line": (
+        ["test", "{dir}/g.txt"],
+        {"g.txt": f"p 2 1\ne 0 {LONG}\n"},
+        f"line 2: bad edge endpoints (over {DIGITS} digits)",
+    ),
+    "json": (
+        ["test", "{dir}/g.json"],
+        {"g.json": f'{{"n": 2, "edges": [[0, {LONG}]]}}'},
+        f"invalid JSON (a number of over {DIGITS} digits)",
+    ),
+    "certificate": (
+        ["verify", "{dir}/g.txt", "{dir}/cert.txt"],
+        {"g.txt": "p 2 0\n", "cert.txt": f"0 1\n1 {LONG}\n"},
+        f"line 2: bad numbers (over {DIGITS} digits)",
+    ),
+    "instance": (
+        ["genset", "--instance", "{dir}/inst.txt"],
+        {"inst.txt": f"targets: 3 {LONG}\nk: 2\n"},
+        f"line 1: bad target list (over {DIGITS} digits)",
+    ),
+    "targets": (
+        ["genset", "--targets", f"3 {LONG}", "-k", "2"],
+        {},
+        f"bad size list '3 {LONG}' (over {DIGITS} digits)",
+    ),
+    "sizes": (
+        ["gen", "multipartite", "--sizes", f"2,{LONG}"],
+        {},
+        f"bad size list '2,{LONG}' (over {DIGITS} digits)",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, files, message", LONG_INTEGERS.values(), ids=list(LONG_INTEGERS)
+)
+def test_cli_long_integers_are_input_errors(tmp_path, capsys, argv, files, message):
+    # int() refuses them with ValueError; exit 1 would read as a negative answer
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main([arg.replace("{dir}", str(tmp_path)) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+# line breaks that str.splitlines() honours besides "\n"
+OTHER_BREAKS = ("\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029")
+
+
+def _endpoint(rng: random.Random, x: int) -> str:
+    """x in decimal, or in a form that only the line-by-line reader takes
+    (or refuses): a leading zero, a sign, too many digits, loose digits."""
+    if rng.random() < 0.5:
+        return str(x)
+    return rng.choice(
+        [f"0{x}", f"+{x}", f"-{x}", "9" * rng.randint(18, 30), f"{x}_0", "\uff11"]
+    )
+
+
+def _edge_document(rng: random.Random) -> tuple[str, bool]:
+    """A seeded edge-list document, and whether it is canonical and valid:
+    (un)sorted, duplicate and reversed edges, m = 0, n up to 300, and now and
+    then comments, blank lines, tabs, other line breaks, odd numbers and one
+    or two bad lines of different kinds."""
+    n = rng.choice([0, 1, 2, rng.randint(3, 30), rng.randint(100, 300)])
+    p = rng.choice([0.0, 0.1, 0.5, 0.9] if n <= 30 else [0.0, 0.005, 0.03])
+    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+    m = len(edges)
+    if edges and rng.random() < 0.3:
+        edges += rng.choices(edges, k=rng.randint(1, 5))
+    if rng.random() < 0.5:
+        rng.shuffle(edges)
+        edges = [(v, u) if rng.random() < 0.3 else (u, v) for u, v in edges]
+    lines = [f"p {n} {m}"] + [f"e {u} {v}" for u, v in edges]
+    mutations = rng.choice([0, 0, 1, 2, 3])
+    for _ in range(mutations):
+        kind = rng.randrange(7)
+        at = rng.randint(1, len(lines))
+        if kind == 0:
+            lines[0] = f"p {n} {m + rng.choice([-1, 1])}"
+        elif kind == 1:
+            lines.insert(at, rng.choice(["c a comment", "", "   ", "\t"]))
+        elif kind == 2 and len(lines) > 1:
+            i = rng.randrange(1, len(lines))
+            lines[i] = rng.choice([" ", "\t", "  "]).join(lines[i].split(" "))
+            lines[i] = rng.choice(["", " ", "\t"]) + lines[i] + rng.choice(["", " "])
+        elif kind == 3 and len(lines) > 1:
+            i = rng.randrange(1, len(lines))
+            if re.fullmatch("e [0-9]+ [0-9]+", lines[i]):
+                u, v = map(int, lines[i].split()[1:])
+                lines[i] = f"e {_endpoint(rng, u)} {_endpoint(rng, v)}"
+        elif kind == 4:
+            bad = [f"e {n // 2} {n // 2}", f"e 0 {n + rng.randint(0, 3)}", "e -1 0"]
+            bad += ["x junk", "e 1", "e 1 2 3", "e a b", f"p {n} {m}", "p 1"]
+            lines.insert(at, rng.choice(bad))
+        elif kind == 5:
+            lines.insert(at, lines.pop(0))  # edges before the header
+        else:
+            lines[-1] += rng.choice(["", "\n"])  # a blank last line
+    breaks = ["\n"] * len(lines)
+    if rng.random() < 0.2:
+        breaks[rng.randrange(len(breaks))] = rng.choice(OTHER_BREAKS)
+    if rng.random() < 0.1:
+        breaks[-1] = ""
+    text = "".join(line + end for line, end in zip(lines, breaks))
+    return text, mutations == 0 and set(breaks) == {"\n"}
+
+
+class _CountingPattern:
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def fullmatch(self, text):
+        self.calls += 1
+        return self.pattern.fullmatch(text)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+def test_edge_list_parser_matches_the_line_by_line_reference(monkeypatch):
+    line_reader = _CountingPattern(extpart.io._EDGE_LINE)
+    monkeypatch.setattr(extpart.io, "_EDGE_LINE", line_reader)
+    rng = random.Random(1909)
+    read_in_bulk = errors = 0
+    for _ in range(1000):
+        text, canonical = _edge_document(rng)
+        line_reader.calls = 0
+        got = _outcome(lambda t: parse_graph_text(t).graph, text)
+        assert got == _outcome(ref_parse_edge_list, text), text
+        if canonical:
+            # a canonical document never reaches the line-by-line reader
+            assert line_reader.calls == 0, text
+            read_in_bulk += 1
+        errors += isinstance(got, str)
+    assert read_in_bulk >= 250 and errors >= 250
 
 
 def test_cli_test_command(tmp_path, capsys):
@@ -550,6 +715,25 @@ def test_cli_genset_instance_file(tmp_path, capsys):
 
 def test_cli_missing_file():
     assert main(["test", "/nonexistent/path.txt"]) == 2
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_cli_undecodable_input_is_an_input_error(tmp_path, capsys, monkeypatch, source):
+    data = b"p 2 1\ne 0 1\n\xff\n"
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    arg = str(path)
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as stdin:
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", stdin)
+            arg = "-"
+        assert main(["test", arg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cannot read {arg}: 'utf-8' codec can't decode byte 0xff "
+        "in position 12: invalid start byte\n"
+    )
 
 
 def test_cli_end_to_end_generator_families(tmp_path, capsys):
