@@ -81,7 +81,7 @@ def _parse_edge_list(text: str) -> GraphDocument:
         n, m = int(header[1]), int(header[2])
         masks, bad = edge_masks(n, zip(ends, ends))
         if bad < 0 and sum(map(int.bit_count, masks)) == 2 * m:
-            return GraphDocument(fmt=EDGE_LIST, graph=Graph._from_masks(n, tuple(masks)))
+            return GraphDocument(EDGE_LIST, Graph._from_masks(n, tuple(masks)))
     # any other document, and a canonical one with an error, line by line
     n = m = None
     edges: list[tuple[int, int]] = []
