@@ -145,6 +145,8 @@ def _parse_json(text: str) -> GraphDocument:
     except ValueError as exc:  # an integer longer than int() reads
         limit = sys.get_int_max_str_digits()
         raise InputError(f"invalid JSON (a number of over {limit} digits)") from exc
+    except RecursionError as exc:  # arrays or objects nested past the stack
+        raise InputError("invalid JSON (nested too deeply)") from exc
     if not isinstance(data, dict):
         raise InputError("JSON graph document must be an object")
     fmt = data.get("format", ADJACENCY_JSON)

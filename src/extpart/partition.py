@@ -118,18 +118,23 @@ class FeasibleTupleSet:
                     f"feasible {k}-tuple must hold {k} non-negative ints, got {tup!r}"
                 )
         tuples = tuple(sorted(set(tuples)))
-        self.k, self.tuples, self._members = k, tuples, frozenset(tuples)
+        self.k, self.tuples = k, tuples
 
     @classmethod
     def _result(cls, k: int, tuples: tuple[Tuple, ...]) -> "FeasibleTupleSet":
         """A set the DP computed from checked operands, skipping the check;
         `tuples` must be distinct and sorted."""
         fts = cls.__new__(cls)
-        fts.k, fts.tuples, fts._members = k, tuples, frozenset(tuples)
+        fts.k, fts.tuples = k, tuples
         return fts
 
     def __len__(self) -> int:
         return len(self.tuples)
+
+    @functools.cached_property
+    def _members(self) -> frozenset[Tuple]:
+        # built on the first `in`: callers that only iterate never pay for it
+        return frozenset(self.tuples)
 
     def __contains__(self, tup: Tuple) -> bool:
         return tup in self._members

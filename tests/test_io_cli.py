@@ -14,7 +14,7 @@ import pytest
 import extpart
 import extpart.io
 from extpart import Graph, InputError, Partition, complete_multipartite, decompose
-from extpart.cli import main
+from extpart.cli import build_parser, main
 from extpart.io import (
     format_dot,
     format_partition_text,
@@ -185,6 +185,10 @@ PARSER_ERRORS = {
     "json-long-excerpt": (
         '{"n": 2, "edges": [[0, "' + "x" * 60 + '"]]}',
         '`edges[0][1]` must be an integer, got "' + "x" * 36 + "...",
+    ),
+    "json-nested-too-deeply": (
+        '{"n": 1, "edges": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        "invalid JSON (nested too deeply)",
     ),
 }
 
@@ -711,6 +715,60 @@ def test_cli_genset_instance_file(tmp_path, capsys):
     inst.write_text("targets: 2 3 4 7 9\nk: 3\n")
     assert main(["genset", "--instance", str(inst)]) == 0
     assert "generators: 2 3 4" in capsys.readouterr().out
+
+
+# call sequences whose later calls must not see the earlier calls' options;
+# argv names files in `{dir}`
+REPEATED_CALLS = {
+    "chi-max-k-then-none": (
+        ["chi", "{dir}/g.json", "--max-k", "1"],
+        ["chi", "{dir}/g.json"],
+    ),
+    "pv-float-then-exact": (["pv", "{dir}/g.json", "--float"], ["pv", "{dir}/g.json"]),
+    "genset-targets-then-instance": (
+        ["genset", "--targets", "2 3 4 7 9", "-k", "3"],
+        ["genset", "--instance", "{dir}/inst.txt"],
+    ),
+    "usage-error-then-valid": (
+        ["chi", "{dir}/g.json", "--max-k", "x"],
+        ["chi", "{dir}/g.json"],
+    ),
+    "help": (["--help"], ["chi", "--help"], ["--help"], ["genset", "--help"]),
+}
+
+
+def _outcome_of_main(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse ends usage errors and --help this way
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("calls", REPEATED_CALLS.values(), ids=list(REPEATED_CALLS))
+def test_cli_repeated_calls_match_calls_made_alone(tmp_path, capsys, calls):
+    (tmp_path / "g.json").write_text(BOTTOM_JSON)
+    (tmp_path / "inst.txt").write_text("targets: 2 3 4 7 9\nk: 2\n")
+    calls = [[arg.replace("{dir}", str(tmp_path)) for arg in argv] for argv in calls]
+    alone = []
+    for argv in calls:
+        build_parser.cache_clear()
+        alone.append(_outcome_of_main(argv, capsys))
+    build_parser.cache_clear()
+    in_turn = [_outcome_of_main(argv, capsys) for argv in calls]
+    assert in_turn == alone
+    assert build_parser.cache_info().misses == 1  # one parser served them all
+    for argv, (code, out, err) in zip(calls, in_turn):
+        if "x" in argv:
+            assert (code, out) == (2, "")
+            assert err.startswith("usage: extpart chi ")
+            assert err.endswith("error: argument --max-k: invalid integer value: 'x'\n")
+        elif "--help" in argv:
+            assert (code, err) == (0, "")
+            assert out.startswith("usage: extpart ")
+        else:
+            assert code in (0, 1) and out and not err
 
 
 def test_cli_missing_file():
