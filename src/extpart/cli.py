@@ -231,8 +231,8 @@ def cmd_genset(args: argparse.Namespace) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `extpart` parser, built on first use and shared by every later
-    call, so callers must not change it: building it takes about 1 ms, a
-    parse about 0.03 ms."""
+    call, since building it costs about twenty parses; callers must not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="extpart",
         description=(
