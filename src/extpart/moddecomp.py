@@ -7,9 +7,14 @@ graph is connected and co-connected the quotient on its maximal strong
 modules is prime. Those modules come from one partition refinement
 (Habib, Paul & Viennot, 1999): splitters refine the set without its
 lowest vertex v into the maximal modules that avoid v, and one splitter
-closure per part tells whether the part joins v's module. Components
-grow from the smaller side (`graphs._components`), and a node's module
-is merged from its children's.
+closure per part tells whether the part joins v's module. A closure
+stops, setting its part apart, once it absorbs a vertex of a part
+already set apart. That part M is a maximal strong module and overlaps
+no module, so a module holding v and a vertex of M holds both M and v's
+module; a union of two or more maximal strong modules of a prime
+quotient is the whole set. Components grow from the smaller side
+(`graphs._components`), and a node's module is merged from its
+children's.
 
 Every walk over a tree keeps its pending nodes on an explicit stack,
 the bottom-up ones (building the tree included) through `post_order`,
@@ -93,9 +98,11 @@ class MDTree:
         return self.root.bottom_up()
 
 
-def _smallest_module(nbr: tuple[int, ...], mask: int, seed: int) -> int:
+def _smallest_module(nbr: tuple[int, ...], mask: int, seed: int, stop: int) -> int:
     """Close a seed set under splitters: repeatedly absorb any outside
-    vertex adjacent to some but not all of the current set."""
+    vertex adjacent to some but not all of the current set. The closure
+    is cut short, returning mask, once it would absorb a vertex of
+    `stop`."""
     mod = seed
     grew = True
     while grew and mod != mask:
@@ -103,6 +110,8 @@ def _smallest_module(nbr: tuple[int, ...], mask: int, seed: int) -> int:
         for w in _bits(mask & ~mod):
             x = nbr[w] & mod
             if x and x != mod:
+                if stop >> w & 1:
+                    return mask
                 mod |= 1 << w
                 grew = True
     return mod
@@ -116,7 +125,13 @@ def _maximal_strong_modules(nbr: tuple[int, ...], mask: int) -> list[int]:
     maximal modules that avoid v. The quotient is prime, so no union of
     two or more maximal strong modules is a proper module: every maximal
     strong module but v's is one of these parts, and a part lies in v's
-    iff the smallest module holding it and v is proper."""
+    iff the smallest module holding it and v is proper.
+
+    Each closure stops at the first vertex of a part already known to
+    lie outside v's module M_v: such a part M is a maximal strong module,
+    and a strong module overlaps no module, so a module holding v and a
+    vertex of M holds both M_v and M; being a union of two or more
+    maximal strong modules, it is the whole mask."""
     v = (mask & -mask).bit_length() - 1
     parts, pending = [], [mask & ~(1 << v)]
     while pending:
@@ -129,13 +144,14 @@ def _maximal_strong_modules(nbr: tuple[int, ...], mask: int) -> list[int]:
                 break
         else:
             parts.append(part)
-    own, rest = 1 << v, []
+    own, rest, outside = 1 << v, [], 0
     for part in parts:
-        mod = _smallest_module(nbr, mask, own | part)
+        mod = _smallest_module(nbr, mask, own | part, outside)
         if mod != mask:
             own = mod
         else:
             rest.append(part)
+            outside |= part
     return sorted([own, *rest], key=lambda c: c & -c)
 
 

@@ -1,7 +1,9 @@
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extpart import (
     Graph,
@@ -16,6 +18,7 @@ from extpart import (
     is_cograph,
     modular_width,
     module_alpha,
+    path_graph,
     reconstruct,
     substitute,
     verify_module,
@@ -24,7 +27,7 @@ from extpart import (
 )
 from extpart.graphs import induced_subgraph
 from extpart.io import format_tree
-from extpart.moddecomp import _restrict, post_order
+from extpart.moddecomp import _maximal_strong_modules, _restrict, post_order
 from bruteforce import (
     bf_modules,
     p4,
@@ -32,6 +35,8 @@ from bruteforce import (
     random_graph,
     ref_decompose,
     ref_format_tree,
+    ref_smallest_module,
+    unit_disk_graph,
 )
 
 
@@ -204,6 +209,51 @@ def test_decompose_matches_the_top_down_reference():
                 assert node.rep.edges == tuple(
                     (i, j) for i, j in pairs if g.has_edge(reps[i], reps[j])
                 )
+
+
+@functools.cache
+def _seeded_prime_bases():
+    return tuple(_prime_bases(random.Random(50)))
+
+
+@st.composite
+def _prime_step_graphs(draw):
+    """Graphs whose decomposition reaches the prime step: seeded prime
+    G(n, p), relabelled paths and cycles, substituted primes and
+    unit-disk graphs."""
+    family = draw(st.sampled_from(("gnp", "path", "cycle", "substituted", "unit-disk")))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if family == "gnp":
+        p = draw(st.sampled_from((0.1, 0.3, 0.5, 0.9)))
+        n = draw(st.integers(40 if p in (0.1, 0.9) else 4, 60))
+        while ref_decompose(g := random_graph(rng, n, p))[0] != "prime":
+            pass
+        return g
+    if family == "path":
+        return _relabelled(rng, path_graph(draw(st.integers(4, 150))))
+    if family == "cycle":
+        return _relabelled(rng, cycle_graph(draw(st.integers(5, 150))))
+    if family == "substituted":
+        return _substituted(rng, _seeded_prime_bases(), draw(st.integers(2, 16)))[0]
+    return unit_disk_graph(rng, draw(st.integers(1, 120)), draw(st.sampled_from((4, 6, 8))))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_prime_step_graphs())
+def test_prime_step_matches_the_unstopped_reference(g):
+    # the reference runs every splitter closure to its end; each part the
+    # stopped closures set apart must close, unstopped, to the whole mask
+    t = decompose(g)
+    assert format_tree(t.root) == ref_format_tree(ref_decompose(g))
+    assert reconstruct(t) == g
+    nbr = g.neighbor_masks()
+    for node in t.nodes():
+        if node.kind == "prime":
+            mask = sum(1 << v for v in node.module)
+            own = 1 << node.module[0]
+            for part in _maximal_strong_modules(nbr, mask):
+                closed = ref_smallest_module(nbr, mask, own | part)
+                assert closed == (part if part & own else mask)
 
 
 def test_child_modules_are_strong():
